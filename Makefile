@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race verify cover bench bench-snapshots bench-diff suite suite-quick check lint hotpath-gates examples clean loopback fuzz-frame fuzz-wire fuzz-manifest fuzz-mesh wire-trace incident-smoke mesh-smoke
+.PHONY: all build test test-short race verify cover bench bench-snapshots bench-diff suite suite-quick check lint loc hotpath-gates examples clean loopback fuzz-frame fuzz-wire fuzz-manifest fuzz-mesh wire-trace incident-smoke mesh-smoke
 
 all: build test
 
@@ -59,10 +59,13 @@ loopback:
 fuzz-frame:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime 30s ./internal/transport/
 
-# Fuzz the MPDPWIR1 wire-event codec (decoder never panics; accepted
-# streams round-trip byte-identically and merge cleanly).
+# Fuzz both schemas of the obs record-stream codec: MPDPWIR1 (decoder
+# never panics; accepted streams round-trip byte-identically and merge
+# cleanly) and MPDPOBS1 (decoder never panics; accepted events satisfy
+# the format invariants).
 fuzz-wire:
 	$(GO) test -run '^$$' -fuzz FuzzWireReader -fuzztime 30s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz '^FuzzReader$$' -fuzztime 30s ./internal/obs/
 
 # Fuzz the incident-bundle manifest decoder (strict, versioned; anything
 # it accepts must survive an encode/decode round trip unchanged).
@@ -115,6 +118,11 @@ lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) run ./cmd/mpdp-lint -werror ./...
+
+# Non-test Go lines outside benchmark/ — ROADMAP item 4's "least code"
+# measure. Informational: CI prints it, nothing gates on it.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 # Regenerate the hot-path runtime alloc-gate list from //mpdp:hotpath
 # annotations and fail if it differs from the checked-in file. CI runs

@@ -54,6 +54,12 @@ func runBenchDiff(dir string) error {
 			return err
 		}
 
+		for _, doc := range []*benchDoc{&base, &fresh} {
+			if err := doc.checkLatency(); err != nil {
+				return err
+			}
+		}
+
 		tol := benchTolerance
 		if sc.wire != nil || sc.mesh != nil {
 			tol = wireBenchTolerance

@@ -12,6 +12,7 @@ import (
 	"mpdp/internal/experiment"
 	"mpdp/internal/mesh"
 	"mpdp/internal/sim"
+	"mpdp/internal/stats"
 	"mpdp/internal/transport"
 )
 
@@ -137,15 +138,36 @@ type benchDoc struct {
 	} `json:"allocs"`
 }
 
+// setLatency fills the latency_ns block from the one summary shape every
+// engine reports.
+func (d *benchDoc) setLatency(s stats.Summary) {
+	d.LatencyNS.Mean = s.Mean
+	d.LatencyNS.P50 = s.P50
+	d.LatencyNS.P90 = s.P90
+	d.LatencyNS.P99 = s.P99
+	d.LatencyNS.P999 = s.P999
+	d.LatencyNS.Max = s.Max
+}
+
+// checkLatency rejects a document whose latency block was not filled: a
+// run that delivered packets has a non-zero mean and median.
+func (d *benchDoc) checkLatency() error {
+	if d.Delivered > 0 && (d.LatencyNS.Mean == 0 || d.LatencyNS.P50 == 0) {
+		return fmt.Errorf("%s: delivered %d packets but latency_ns has mean=%v p50=%d",
+			d.Scenario, d.Delivered, d.LatencyNS.Mean, d.LatencyNS.P50)
+	}
+	return nil
+}
+
 // measureScenario runs one scenario with allocation accounting and condenses
 // it into the benchmark document. Shared by -bench-json and -bench-diff so a
 // diff compares like with like.
 func measureScenario(sc benchScenario, seed uint64, quick bool) (benchDoc, error) {
 	if sc.wire != nil {
-		return measureWireScenario(sc, seed, quick)
+		return measureWallScenario(sc, seed, quick, runWireScenario)
 	}
 	if sc.mesh != nil {
-		return measureMeshScenario(sc, seed, quick)
+		return measureWallScenario(sc, seed, quick, runMeshScenario)
 	}
 	var doc benchDoc
 	var before, after runtime.MemStats
@@ -172,12 +194,7 @@ func measureScenario(sc benchScenario, seed uint64, quick bool) (benchDoc, error
 	if s := wall.Seconds(); s > 0 {
 		doc.ThroughputPS = float64(res.Offered) / s
 	}
-	doc.LatencyNS.Mean = res.Latency.Mean
-	doc.LatencyNS.P50 = res.Latency.P50
-	doc.LatencyNS.P90 = res.Latency.P90
-	doc.LatencyNS.P99 = res.Latency.P99
-	doc.LatencyNS.P999 = res.Latency.P999
-	doc.LatencyNS.Max = res.Latency.Max
+	doc.setLatency(res.Latency)
 	if res.Config.Deadline > 0 {
 		doc.DeadlineHitRate = res.DeadlineHitRate
 		doc.DupBytes = res.DupBytes
@@ -191,110 +208,96 @@ func measureScenario(sc benchScenario, seed uint64, quick bool) (benchDoc, error
 	return doc, nil
 }
 
-// measureWireScenario runs a loopback wire scenario: latency comes from
-// the e2e span histogram (real wall-clock wire latency, not virtual time),
-// allocation pressure from the same MemStats delta the simulator scenarios
-// use. The invariant verifier is armed; a violating run fails the bench.
-func measureWireScenario(sc benchScenario, seed uint64, quick bool) (benchDoc, error) {
-	var doc benchDoc
-	cfg := *sc.wire // copy: reruns must not share Spans
-	spans := transport.NewSpans(nil)
-	cfg.Spans = spans
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	rep, err := transport.RunLoopback(cfg)
-	wall := time.Since(start)
-	runtime.ReadMemStats(&after)
-	if err != nil {
-		return doc, fmt.Errorf("scenario %s: %w", sc.name, err)
-	}
-	if err := rep.Verify(); err != nil {
-		return doc, fmt.Errorf("scenario %s: %w", sc.name, err)
-	}
-
-	doc.Scenario = sc.name
-	doc.Policy = string(cfg.Scheduler)
-	doc.Interference = "loopback"
-	doc.Seed = seed
-	doc.Quick = quick
-	doc.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	doc.Offered = rep.Packets
-	doc.Delivered = rep.Delivered
-	if rep.Packets > 0 {
-		doc.DeliveryRate = float64(rep.Delivered) / float64(rep.Packets)
-	}
-	if s := rep.Elapsed.Seconds(); s > 0 {
-		doc.GoodputGbps = float64(rep.Delivered) * float64(cfg.Payload) * 8 / s / 1e9
-		doc.ThroughputPS = float64(rep.Packets) / s
-	}
-	for _, sp := range rep.Spans {
-		if sp.Stage != "e2e" {
-			continue
-		}
-		doc.LatencyNS.Mean = sp.Latency.Mean
-		doc.LatencyNS.P50 = sp.Latency.P50
-		doc.LatencyNS.P90 = sp.Latency.P90
-		doc.LatencyNS.P99 = sp.Latency.P99
-		doc.LatencyNS.P999 = sp.Latency.P999
-		doc.LatencyNS.Max = sp.Latency.Max
-	}
-	doc.WallMS = float64(wall.Microseconds()) / 1000
-	doc.Allocs.Mallocs = after.Mallocs - before.Mallocs
-	doc.Allocs.TotalAllocBytes = after.TotalAlloc - before.TotalAlloc
-	if rep.Packets > 0 {
-		doc.Allocs.PerPacket = float64(doc.Allocs.Mallocs) / float64(rep.Packets)
-	}
-	return doc, nil
+// wallRun is what a wall-clock scenario (loopback wire, mesh) reports
+// back for the benchmark document.
+type wallRun struct {
+	policy             transport.SchedulerName
+	interference       string
+	payload            int
+	packets, delivered uint64
+	elapsed            time.Duration
+	latency            stats.Summary // e2e, real wall-clock wire latency
 }
 
-// measureMeshScenario runs the multi-gateway mesh scenario: N in-process
+// runWireScenario runs a loopback wire scenario with the invariant
+// verifier armed; latency comes from the e2e span histogram.
+func runWireScenario(sc benchScenario) (wallRun, error) {
+	cfg := *sc.wire // copy: reruns must not share Spans
+	cfg.Spans = transport.NewSpans(nil)
+	rep, err := transport.RunLoopback(cfg)
+	if err == nil {
+		err = rep.Verify()
+	}
+	if err != nil {
+		return wallRun{}, err
+	}
+	run := wallRun{policy: cfg.Scheduler, interference: "loopback", payload: cfg.Payload,
+		packets: rep.Packets, delivered: rep.Delivered, elapsed: rep.Elapsed}
+	for _, sp := range rep.Spans {
+		if sp.Stage == "e2e" {
+			run.latency = sp.Latency
+		}
+	}
+	return run, nil
+}
+
+// runMeshScenario runs the multi-gateway mesh scenario: N in-process
 // gateways plus a steering client over loopback UDP, with the mid-run
-// drain included in the measured window. Latency is the mesh-wide e2e
-// p99 (wall clock); the stream invariant is armed across the ownership
-// change and a violating run fails the bench.
-func measureMeshScenario(sc benchScenario, seed uint64, quick bool) (benchDoc, error) {
-	var doc benchDoc
+// drain included in the measured window. Latency is mesh-wide e2e; the
+// stream invariant is armed across the ownership change.
+func runMeshScenario(sc benchScenario) (wallRun, error) {
 	cfg := *sc.mesh // copy: reruns must not share state
+	rep, err := mesh.RunMesh(cfg)
+	if err == nil {
+		err = rep.Verify()
+	}
+	if err != nil {
+		return wallRun{}, err
+	}
+	if rep.HandoffFlows == 0 {
+		return wallRun{}, fmt.Errorf("the drain moved no flow state; the baseline would not price the handoff")
+	}
+	return wallRun{policy: cfg.Scheduler, interference: "mesh-drain", payload: cfg.Payload,
+		packets: rep.Packets, delivered: rep.Delivered, elapsed: rep.Elapsed, latency: rep.Latency}, nil
+}
+
+// measureWallScenario measures a wall-clock scenario: allocation pressure
+// from the same MemStats delta the simulator scenarios use, rates over the
+// run's own elapsed time. A violating run fails the bench.
+func measureWallScenario(sc benchScenario, seed uint64, quick bool, run func(benchScenario) (wallRun, error)) (benchDoc, error) {
+	var doc benchDoc
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	start := time.Now()
-	rep, err := mesh.RunMesh(cfg)
+	r, err := run(sc)
 	wall := time.Since(start)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		return doc, fmt.Errorf("scenario %s: %w", sc.name, err)
 	}
-	if err := rep.Verify(); err != nil {
-		return doc, fmt.Errorf("scenario %s: %w", sc.name, err)
-	}
-	if rep.HandoffFlows == 0 {
-		return doc, fmt.Errorf("scenario %s: the drain moved no flow state; the baseline would not price the handoff", sc.name)
-	}
 
 	doc.Scenario = sc.name
-	doc.Policy = string(cfg.Scheduler)
-	doc.Interference = "mesh-drain"
+	doc.Policy = string(r.policy)
+	doc.Interference = r.interference
 	doc.Seed = seed
 	doc.Quick = quick
 	doc.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	doc.Offered = rep.Packets
-	doc.Delivered = rep.Delivered
-	if rep.Packets > 0 {
-		doc.DeliveryRate = float64(rep.Delivered) / float64(rep.Packets)
+	doc.Offered = r.packets
+	doc.Delivered = r.delivered
+	if r.packets > 0 {
+		doc.DeliveryRate = float64(r.delivered) / float64(r.packets)
 	}
-	if s := rep.Elapsed.Seconds(); s > 0 {
-		doc.GoodputGbps = float64(rep.Delivered) * float64(cfg.Payload) * 8 / s / 1e9
-		doc.ThroughputPS = float64(rep.Packets) / s
+	if s := r.elapsed.Seconds(); s > 0 {
+		doc.GoodputGbps = float64(r.delivered) * float64(r.payload) * 8 / s / 1e9
+		doc.ThroughputPS = float64(r.packets) / s
 	}
-	doc.LatencyNS.P99 = rep.P99OverallNanos
+	doc.setLatency(r.latency)
 	doc.WallMS = float64(wall.Microseconds()) / 1000
 	doc.Allocs.Mallocs = after.Mallocs - before.Mallocs
 	doc.Allocs.TotalAllocBytes = after.TotalAlloc - before.TotalAlloc
-	if rep.Packets > 0 {
-		doc.Allocs.PerPacket = float64(doc.Allocs.Mallocs) / float64(rep.Packets)
+	if r.packets > 0 {
+		doc.Allocs.PerPacket = float64(doc.Allocs.Mallocs) / float64(r.packets)
 	}
 	return doc, nil
 }

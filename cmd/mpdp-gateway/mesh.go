@@ -125,9 +125,9 @@ func printMeshReport(rep *mesh.MeshReport) {
 	}
 	if rep.P99PreDrainNanos > 0 {
 		fmt.Printf("e2e p99: %.1fus pre-drain -> %.1fus overall\n",
-			float64(rep.P99PreDrainNanos)/1000, float64(rep.P99OverallNanos)/1000)
+			float64(rep.P99PreDrainNanos)/1000, float64(rep.Latency.P99)/1000)
 	} else {
-		fmt.Printf("e2e p99: %.1fus\n", float64(rep.P99OverallNanos)/1000)
+		fmt.Printf("e2e p99: %.1fus\n", float64(rep.Latency.P99)/1000)
 	}
 	for _, ep := range rep.Episodes {
 		fmt.Printf("sentinel episode: %d ticks, peak p99 %.1fus (%s)\n",

@@ -8,22 +8,24 @@ import (
 
 // Stream is the endpoint-independent sibling of Checker: where Checker
 // attaches to one core.DataPlane's observer callbacks, Stream shadows a
-// logical delivery stream whose two ends live in different components —
-// the mesh client notes every (flow, seq) it sends, and whichever node
-// owns the flow at delivery time (including a new owner after a
-// drain/handoff) notes it surfacing. The asserted properties are the
-// ones ownership migration must not break:
+// logical delivery stream whose two ends live in different components. On
+// the wire path the sender notes every (flow, seq) it accepts and the
+// receiver notes it surfacing (transport.Verifier is this type); in the
+// mesh the client notes the send and whichever node owns the flow at
+// delivery time (including a new owner after a drain/handoff) notes the
+// delivery. The asserted properties are the ones hedged copies and
+// ownership migration must not break:
 //
 //   - At-most-once: each (flow, seq) surfaces at most once, no matter
-//     how many nodes touched the flow.
+//     how many wire copies were sent or how many nodes touched the flow.
 //   - In-order: each flow's delivered seqs are strictly increasing even
 //     across an ownership change.
 //   - No invention: every delivered (flow, seq) was actually sent.
 //   - Conservation (at Finish): delivered never exceeds sent, per flow
 //     and in total. Losses are legal — the wire is UDP.
 //
-// Safe for concurrent use: the sender and every node feed the same
-// checker.
+// Safe for concurrent use: the sender and every receiving end feed the
+// same checker.
 type Stream struct {
 	mu sync.Mutex
 
@@ -54,9 +56,9 @@ func (s *Stream) violate(format string, args ...any) {
 	}
 }
 
-// NoteSent records that (flow, seq) entered the mesh. Seqs must be
-// assigned contiguously per flow (the mesh client does); duplicated
-// wire copies count once.
+// NoteSent records that (flow, seq) entered the wire. Seqs must be
+// assigned contiguously per flow; hedged wire copies count once (call it
+// per application packet, not per frame).
 func (s *Stream) NoteSent(flow, seq uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -67,8 +69,8 @@ func (s *Stream) NoteSent(flow, seq uint64) {
 	s.nextSent[flow] = seq + 1
 }
 
-// NoteDelivered records that (flow, seq) surfaced to the application on
-// whichever node owned the flow at that moment.
+// NoteDelivered records that (flow, seq) surfaced to the application (in
+// the mesh: on whichever node owned the flow at that moment).
 func (s *Stream) NoteDelivered(flow, seq uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -78,7 +80,7 @@ func (s *Stream) NoteDelivered(flow, seq uint64) {
 	}
 	if next := s.nextDlv[flow]; next > 0 && seq < next {
 		if seq == next-1 {
-			s.violate("flow %x delivered seq %d twice (duplicate surfaced across ownership)", flow, seq)
+			s.violate("flow %x delivered seq %d twice (duplicate surfaced)", flow, seq)
 		} else {
 			s.violate("flow %x delivered seq %d after seq %d (out of order)", flow, seq, next-1)
 		}

@@ -27,67 +27,60 @@ func TestStreamCleanRun(t *testing.T) {
 	}
 }
 
-func TestStreamDetectsDuplicate(t *testing.T) {
-	s := NewStream()
-	s.NoteSent(1, 0)
-	s.NoteSent(1, 1)
-	s.NoteDelivered(1, 0)
-	s.NoteDelivered(1, 0)
-	_, n := s.Violations()
-	if n != 1 {
-		t.Fatalf("%d violations, want 1 (duplicate)", n)
-	}
-	msgs, _ := s.Violations()
-	if !strings.Contains(msgs[0], "twice") {
-		t.Fatalf("violation %q does not name the duplicate", msgs[0])
-	}
-}
-
-func TestStreamDetectsOutOfOrder(t *testing.T) {
-	s := NewStream()
-	for seq := uint64(0); seq < 5; seq++ {
-		s.NoteSent(1, seq)
-	}
-	s.NoteDelivered(1, 3)
-	s.NoteDelivered(1, 1)
-	msgs, n := s.Violations()
-	if n != 1 || !strings.Contains(msgs[0], "out of order") {
-		t.Fatalf("violations %v (n=%d), want one out-of-order", msgs, n)
-	}
-}
-
-func TestStreamDetectsInvention(t *testing.T) {
-	s := NewStream()
-	s.NoteSent(1, 0)
-	s.NoteDelivered(1, 7)
-	msgs, n := s.Violations()
-	if n != 1 || !strings.Contains(msgs[0], "never sent") {
-		t.Fatalf("violations %v (n=%d), want one invention", msgs, n)
-	}
-}
-
-func TestStreamDetectsNonContiguousSend(t *testing.T) {
-	s := NewStream()
-	s.NoteSent(1, 0)
-	s.NoteSent(1, 2)
-	_, n := s.Violations()
-	if n != 1 {
-		t.Fatalf("%d violations, want 1 (send gap)", n)
-	}
-}
-
-func TestStreamFinishConservation(t *testing.T) {
-	// Delivery for an unknown flow, delivered past what was sent: Finish
-	// must flag conservation even though per-event checks could not.
-	s := NewStream()
-	s.NoteDelivered(42, 0)
-	s.NoteDelivered(42, 1)
-	err := s.Finish()
-	if err == nil {
-		t.Fatal("over-delivery passed Finish")
-	}
-	if !strings.Contains(err.Error(), "over-delivery") {
-		t.Fatalf("error %v does not name over-delivery", err)
+// TestStreamDetects drives the checker through each fault it exists to
+// catch. Every row sends flow 1's seqs in the order given, delivers in the
+// order given, then runs Finish; want lists a fragment of every violation
+// expected, in order, so the exact count is checked too.
+func TestStreamDetects(t *testing.T) {
+	const flow = 1
+	for _, tc := range []struct {
+		name            string
+		sent, delivered []uint64
+		want            []string
+	}{
+		{name: "duplicate", sent: []uint64{0, 1}, delivered: []uint64{0, 0},
+			want: []string{"seq 0 twice"}},
+		{name: "out of order", sent: []uint64{0, 1, 2, 3, 4}, delivered: []uint64{3, 1},
+			want: []string{"seq 1 after seq 3 (out of order)"}},
+		{name: "invention", sent: []uint64{0}, delivered: []uint64{7},
+			want: []string{"seq 7 which was never sent", "delivered through seq 7 but only sent through 0"}},
+		{name: "send gap", sent: []uint64{0, 2},
+			want: []string{"sent seq 2, want contiguous 1"}},
+		// Delivery for an unknown flow: Finish must flag conservation even
+		// though the per-event checks could not.
+		{name: "over-delivery of an unknown flow", delivered: []uint64{0, 1},
+			want: []string{"over-delivery: 2 delivered exceeds 0 sent"}},
+		// Three faults in one stream, plus the two aggregate checks they
+		// trip at Finish (total and per-flow delivered-beyond-sent).
+		{name: "duplicate + disorder + invention", sent: []uint64{0, 1, 2, 3}, delivered: []uint64{0, 1, 1, 3, 2, 9},
+			want: []string{"seq 1 twice", "seq 2 after seq 3", "seq 9 which was never sent",
+				"over-delivery: 6 delivered exceeds 4 sent", "delivered through seq 9 but only sent through 3"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStream()
+			for _, seq := range tc.sent {
+				s.NoteSent(flow, seq)
+			}
+			for _, seq := range tc.delivered {
+				s.NoteDelivered(flow, seq)
+			}
+			err := s.Finish()
+			if err == nil {
+				t.Fatal("Finish accepted the faulty stream")
+			}
+			msgs, n := s.Violations()
+			if n != uint64(len(tc.want)) || len(msgs) != len(tc.want) {
+				t.Fatalf("violations %q (n=%d), want %d", msgs, n, len(tc.want))
+			}
+			for i, frag := range tc.want {
+				if !strings.Contains(msgs[i], frag) {
+					t.Errorf("violation %d = %q, want it to contain %q", i, msgs[i], frag)
+				}
+				if !strings.Contains(err.Error(), frag) {
+					t.Errorf("Finish error %q omits %q", err, frag)
+				}
+			}
+		})
 	}
 }
 

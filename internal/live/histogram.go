@@ -2,22 +2,19 @@ package live
 
 import (
 	"math"
-	"math/bits"
 	"math/rand/v2"
 	"runtime"
 	"sync/atomic"
+
+	"mpdp/internal/stats"
 )
 
-// Histogram is the live plane's lock-free latency histogram: power-of-two
-// log-bucketed with geometric sub-buckets (like stats.Hist), striped across
-// shards so concurrent recorders do not serialize on one cache line.
-//
-// Layout: values below 32 land in exact unit buckets; above, each
-// power-of-two range splits into 32 geometric sub-buckets, bounding the
-// relative quantile error by 2^-5 ≈ 3.1% while every bucket boundary stays
-// an exact integer — Quantile reports the bucket's bounds alongside its
-// midpoint, so a reading is never silently wrong by more than its stated
-// bracket.
+// Histogram is the live plane's lock-free latency recorder: the write side
+// of a stats.Hist, striped across shards so concurrent recorders do not
+// serialize on one cache line. It owns no bucket math — shards are atomic
+// counters indexed by stats.BucketOf — and no read side: Snapshot folds the
+// shards into a *stats.Hist, so live, wire and mesh latencies quantile,
+// merge and summarize exactly like the simulator's.
 //
 // Sharding: Record picks a shard with the runtime's per-M fast random
 // source (math/rand/v2's thread-local generator — no lock, no allocation),
@@ -33,18 +30,11 @@ type Histogram struct {
 	mask   uint32
 }
 
-const (
-	hSubBits     = 5
-	hLinearLimit = 1 << hSubBits // 32
-	hSubBuckets  = 1 << hSubBits
-	hNumBuckets  = hLinearLimit + (63-hSubBits)*hSubBuckets + hSubBuckets
-)
-
 // histShard is one stripe. Padding keeps the hot counters of adjacent
 // shards on separate cache lines (the counts array is large enough that
 // only the scalar fields can false-share).
 type histShard struct {
-	counts [hNumBuckets]atomic.Uint64
+	counts [stats.NumBuckets]atomic.Uint64
 	count  atomic.Uint64
 	sum    atomic.Int64
 	min    atomic.Int64 // valid only when count > 0
@@ -67,42 +57,17 @@ func NewHistogram() *Histogram {
 	for shards < n {
 		shards <<= 1
 	}
+	return newHistogram(shards)
+}
+
+// newHistogram builds a histogram with exactly shards stripes (a power of
+// two).
+func newHistogram(shards int) *Histogram {
 	h := &Histogram{shards: make([]histShard, shards), mask: uint32(shards - 1)}
 	for i := range h.shards {
 		h.shards[i].min.Store(math.MaxInt64)
 	}
 	return h
-}
-
-func hBucketOf(v int64) int {
-	if v < hLinearLimit {
-		return int(v)
-	}
-	exp := bits.Len64(uint64(v)) - 1
-	mantissa := int(v>>uint(exp-hSubBits)) & (hSubBuckets - 1)
-	return hLinearLimit + (exp-hSubBits)*hSubBuckets + mantissa
-}
-
-// hBucketLower returns the smallest value mapping to bucket i.
-func hBucketLower(i int) int64 {
-	if i < hLinearLimit {
-		return int64(i)
-	}
-	i -= hLinearLimit
-	exp := i/hSubBuckets + hSubBits
-	off := int64(i % hSubBuckets)
-	return (int64(1) << uint(exp)) + off<<uint(exp-hSubBits)
-}
-
-// hBucketUpper returns the largest value mapping to bucket i.
-func hBucketUpper(i int) int64 {
-	if i < hLinearLimit {
-		return int64(i)
-	}
-	if i+1 >= hNumBuckets {
-		return math.MaxInt64
-	}
-	return hBucketLower(i+1) - 1
 }
 
 // Record adds one observation. Negative values clamp to zero. The hot path
@@ -116,7 +81,7 @@ func (h *Histogram) Record(v int64) {
 		v = 0
 	}
 	s := &h.shards[rand.Uint32()&h.mask]
-	s.counts[hBucketOf(v)].Add(1)
+	s.counts[stats.BucketOf(v)].Add(1)
 	s.count.Add(1)
 	s.sum.Add(v)
 	for {
@@ -142,197 +107,32 @@ func (h *Histogram) Count() uint64 {
 	return n
 }
 
-// HistSnapshot is a merged, immutable copy of a Histogram's state: safe to
-// read at leisure while recording continues. Snapshots taken mid-traffic
-// are internally consistent per bucket but not across buckets (a recorder
-// may land between two loads); quantiles remain correct to within the
-// in-flight handful of observations.
-type HistSnapshot struct {
-	Counts   [hNumBuckets]uint64
-	NCount   uint64
-	Sum      int64
-	Min, Max int64
-}
-
-// Snapshot merges every shard into one readable copy.
-func (h *Histogram) Snapshot() *HistSnapshot {
-	s := &HistSnapshot{Min: math.MaxInt64}
+// Snapshot folds every shard into one readable stats.Hist, safe to read at
+// leisure while recording continues. Snapshots taken mid-traffic are
+// consistent per bucket but not across buckets (a recorder may land
+// between two loads); quantiles remain correct to within the in-flight
+// handful of observations.
+func (h *Histogram) Snapshot() *stats.Hist {
+	var counts [stats.NumBuckets]uint64
+	var sum int64
+	lo, hi := int64(math.MaxInt64), int64(0)
 	for i := range h.shards {
 		sh := &h.shards[i]
-		c := sh.count.Load()
-		if c == 0 {
+		if sh.count.Load() == 0 {
 			continue
 		}
-		s.NCount += c
-		s.Sum += sh.sum.Load()
-		if m := sh.min.Load(); m < s.Min {
-			s.Min = m
+		sum += sh.sum.Load()
+		if m := sh.min.Load(); m < lo {
+			lo = m
 		}
-		if m := sh.max.Load(); m > s.Max {
-			s.Max = m
+		if m := sh.max.Load(); m > hi {
+			hi = m
 		}
 		for b := range sh.counts {
-			if n := sh.counts[b].Load(); n != 0 {
-				s.Counts[b] += n
-			}
+			counts[b] += sh.counts[b].Load()
 		}
 	}
-	if s.NCount == 0 {
-		s.Min = 0
-	}
-	return s
-}
-
-// Merge adds o's observations into s.
-func (s *HistSnapshot) Merge(o *HistSnapshot) {
-	if o.NCount == 0 {
-		return
-	}
-	for i, c := range o.Counts {
-		s.Counts[i] += c
-	}
-	if s.NCount == 0 || o.Min < s.Min {
-		s.Min = o.Min
-	}
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	s.NCount += o.NCount
-	s.Sum += o.Sum
-}
-
-// Delta returns the observations recorded since prev — the windowed view
-// the tail sentinel quantiles each tick. Counts subtract with a clamp at
-// zero (a shard racing the two snapshots can make a bucket appear to run
-// backwards by an in-flight observation; clamping keeps the window
-// well-formed). Min/Max are not recoverable from cumulative extremes, so
-// the delta's are the bounds of its first and last occupied buckets —
-// exact enough for quantiles, which is all a window is for.
-func (s *HistSnapshot) Delta(prev *HistSnapshot) *HistSnapshot {
-	d := &HistSnapshot{}
-	first, last := -1, -1
-	for i := range s.Counts {
-		if s.Counts[i] <= prev.Counts[i] {
-			continue
-		}
-		c := s.Counts[i] - prev.Counts[i]
-		d.Counts[i] = c
-		d.NCount += c
-		if first < 0 {
-			first = i
-		}
-		last = i
-	}
-	if d.NCount == 0 {
-		return d
-	}
-	if d.Sum = s.Sum - prev.Sum; d.Sum < 0 {
-		d.Sum = 0
-	}
-	d.Min = hBucketLower(first)
-	d.Max = hBucketUpper(last)
-	return d
-}
-
-// Mean returns the exact mean, or 0 when empty.
-func (s *HistSnapshot) Mean() float64 {
-	if s.NCount == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.NCount)
-}
-
-// Quantile returns the value at quantile q in [0,1] — the midpoint of the
-// bucket holding the rank-q observation, clamped to the observed extremes.
-// p0 and p100 are exact (the tracked min and max).
-func (s *HistSnapshot) Quantile(q float64) int64 {
-	if s.NCount == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return s.Min
-	}
-	if q >= 1 {
-		return s.Max
-	}
-	lo, hi := s.QuantileBounds(q)
-	mid := lo + (hi-lo)/2
-	if mid < s.Min {
-		mid = s.Min
-	}
-	if mid > s.Max {
-		mid = s.Max
-	}
-	return mid
-}
-
-// QuantileBounds returns the exact bucket bounds [lo, hi] bracketing the
-// rank-q observation: the true quantile is guaranteed to lie inside.
-// Empty snapshots return (0, 0).
-func (s *HistSnapshot) QuantileBounds(q float64) (lo, hi int64) {
-	if s.NCount == 0 {
-		return 0, 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := uint64(math.Ceil(q * float64(s.NCount)))
-	if rank == 0 {
-		rank = 1
-	}
-	var cum uint64
-	for i := range s.Counts {
-		cum += s.Counts[i]
-		if cum >= rank {
-			return hBucketLower(i), hBucketUpper(i)
-		}
-	}
-	return s.Max, s.Max
-}
-
-// Bucket is one cumulative Prometheus-style bucket: Count observations
-// with value <= Le.
-type Bucket struct {
-	Le    int64 // upper bound, inclusive
-	Count uint64
-}
-
-// CumBuckets returns the snapshot as cumulative buckets coalesced to
-// power-of-two upper bounds — at most one bucket per occupied octave, so a
-// Prometheus exposition stays a few dozen lines however fine the internal
-// resolution. The final bucket's count equals NCount (the +Inf bucket is
-// the caller's to add).
-func (s *HistSnapshot) CumBuckets() []Bucket {
-	if s.NCount == 0 {
-		return nil
-	}
-	var out []Bucket
-	var cum uint64
-	// Linear region coalesces into le=31 (one bucket).
-	for i := 0; i < hLinearLimit; i++ {
-		cum += s.Counts[i]
-	}
-	if cum > 0 {
-		out = append(out, Bucket{Le: hLinearLimit - 1, Count: cum})
-	}
-	for exp := hSubBits; exp <= 63; exp++ {
-		base := hLinearLimit + (exp-hSubBits)*hSubBuckets
-		var octave uint64
-		for j := 0; j < hSubBuckets && base+j < hNumBuckets; j++ {
-			octave += s.Counts[base+j]
-		}
-		if octave == 0 {
-			continue
-		}
-		cum += octave
-		le := int64(math.MaxInt64)
-		if exp < 62 {
-			le = (int64(1) << uint(exp+1)) - 1
-		}
-		out = append(out, Bucket{Le: le, Count: cum})
-	}
+	out := stats.NewHist()
+	out.AddBuckets(&counts, sum, lo, hi)
 	return out
 }

@@ -462,7 +462,7 @@ func (e *Engine) Snapshot() Stats {
 	for _, lw := range e.lanes {
 		st.PerLane = append(st.PerLane, lw.served.Load())
 	}
-	st.Latency = e.latency.Snapshot().summary()
+	st.Latency = e.latency.Snapshot().Summarize()
 	return st
 }
 

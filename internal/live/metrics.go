@@ -10,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mpdp/internal/stats"
 )
 
 // Registry is a named metrics registry for the live engine: owned atomic
@@ -78,17 +80,17 @@ func (r *Registry) RegisterHistogram(name string, h *Histogram) {
 // histDerived appends one histogram's derived scalar readings to out. The
 // suffix is inserted before any label block so labeled families stay
 // labeled: `lat_ns{stage="x"}` → `lat_ns_p99{stage="x"}`.
-func histDerived(out map[string]float64, name string, s *HistSnapshot) {
+func histDerived(out map[string]float64, name string, s *stats.Hist) {
 	family, labels := splitLabels(name)
 	put := func(suffix string, v float64) {
 		out[family+suffix+labels] = v
 	}
-	put("_count", float64(s.NCount))
-	put("_sum", float64(s.Sum))
-	put("_p50", float64(s.Quantile(0.50)))
-	put("_p90", float64(s.Quantile(0.90)))
-	put("_p99", float64(s.Quantile(0.99)))
-	put("_p999", float64(s.Quantile(0.999)))
+	put("_count", float64(s.Count()))
+	put("_sum", float64(s.Sum()))
+	put("_p50", float64(s.Percentile(0.50)))
+	put("_p90", float64(s.Percentile(0.90)))
+	put("_p99", float64(s.Percentile(0.99)))
+	put("_p999", float64(s.Percentile(0.999)))
 }
 
 // Snapshot reads every metric, including each histogram's derived count,
@@ -183,7 +185,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for name := range r.hists {
 		histNames = append(histNames, name)
 	}
-	histSnaps := make(map[string]*HistSnapshot, len(r.hists))
+	histSnaps := make(map[string]*stats.Hist, len(r.hists))
 	for name, h := range r.hists {
 		histSnaps[name] = h.Snapshot()
 	}
@@ -232,9 +234,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		for _, bk := range s.CumBuckets() {
 			fmt.Fprintf(&b, "%s_bucket%s %d\n", family, leLabel(fmt.Sprintf("%d", bk.Le)), bk.Count)
 		}
-		fmt.Fprintf(&b, "%s_bucket%s %d\n", family, leLabel("+Inf"), s.NCount)
-		fmt.Fprintf(&b, "%s_sum%s %d\n", family, labels, s.Sum)
-		fmt.Fprintf(&b, "%s_count%s %d\n", family, labels, s.NCount)
+		fmt.Fprintf(&b, "%s_bucket%s %d\n", family, leLabel("+Inf"), s.Count())
+		fmt.Fprintf(&b, "%s_sum%s %d\n", family, labels, s.Sum())
+		fmt.Fprintf(&b, "%s_count%s %d\n", family, labels, s.Count())
 		for _, q := range []struct {
 			suffix string
 			q      float64
@@ -244,7 +246,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				fmt.Fprintf(&b, "# TYPE %s gauge\n", qf)
 				typed[qf] = true
 			}
-			fmt.Fprintf(&b, "%s%s %d\n", qf, labels, s.Quantile(q.q))
+			fmt.Fprintf(&b, "%s%s %d\n", qf, labels, s.Percentile(q.q))
 		}
 	}
 	_, err := io.WriteString(w, b.String())
@@ -432,7 +434,7 @@ func (e *Engine) Metrics() *Registry {
 		r.CounterFunc("mpdp_delivered_total", e.delivered.Load)
 		r.CounterFunc("mpdp_tail_drops_total", e.tailDrops.Load)
 		quantile := func(q float64) func() float64 {
-			return func() float64 { return float64(e.latency.Snapshot().Quantile(q)) }
+			return func() float64 { return float64(e.latency.Snapshot().Percentile(q)) }
 		}
 		r.GaugeFunc("mpdp_latency_p50_ns", quantile(0.50))
 		r.GaugeFunc("mpdp_latency_p99_ns", quantile(0.99))

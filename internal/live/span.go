@@ -53,20 +53,27 @@ func newSpanSet(elements []nf.Element, e2e *Histogram) *spanSet {
 	return s
 }
 
+// spanStage is one stage histogram under its label.
+type spanStage struct {
+	name string
+	h    *Histogram
+}
+
+// stages lists every stage in pipeline order.
+func (s *spanSet) stages() []spanStage {
+	out := []spanStage{{"dispatch", s.dispatch}, {"queue_wait", s.queueWait}}
+	for i, h := range s.nfStages {
+		out = append(out, spanStage{s.nfNames[i], h})
+	}
+	return append(out, spanStage{"service", s.service}, spanStage{"reorder_wait", s.reorderWait}, spanStage{"e2e", s.e2e})
+}
+
 // register exposes every stage histogram on the registry as one labeled
 // family, `mpdp_stage_latency_ns{stage="..."}`.
 func (s *spanSet) register(r *Registry) {
-	reg := func(stage string, h *Histogram) {
-		r.RegisterHistogram(fmt.Sprintf("mpdp_stage_latency_ns{stage=%q}", stage), h)
+	for _, st := range s.stages() {
+		r.RegisterHistogram(fmt.Sprintf("mpdp_stage_latency_ns{stage=%q}", st.name), st.h)
 	}
-	reg("dispatch", s.dispatch)
-	reg("queue_wait", s.queueWait)
-	for i, h := range s.nfStages {
-		reg(s.nfNames[i], h)
-	}
-	reg("service", s.service)
-	reg("reorder_wait", s.reorderWait)
-	reg("e2e", s.e2e)
 }
 
 // StageSpan is one stage's snapshot for programmatic readers (Snapshot,
@@ -76,40 +83,11 @@ type StageSpan struct {
 	Latency stats.Summary
 }
 
-// Summary converts a histogram snapshot to the stats.Summary shape the
-// rest of the repo reports (exported for the wire transport's span
-// reporting, which reuses these histograms outside the engine).
-func (s *HistSnapshot) Summary() stats.Summary { return s.summary() }
-
-// summary converts a histogram snapshot to the stats.Summary shape the
-// rest of the repo reports.
-func (s *HistSnapshot) summary() stats.Summary {
-	return stats.Summary{
-		Count: s.NCount,
-		Mean:  s.Mean(),
-		Min:   s.Min,
-		P50:   s.Quantile(0.50),
-		P90:   s.Quantile(0.90),
-		P95:   s.Quantile(0.95),
-		P99:   s.Quantile(0.99),
-		P999:  s.Quantile(0.999),
-		Max:   s.Max,
-	}
-}
-
 // snapshot returns every stage's summary in pipeline order.
 func (s *spanSet) snapshot() []StageSpan {
-	out := []StageSpan{
-		{Stage: "dispatch", Latency: s.dispatch.Snapshot().summary()},
-		{Stage: "queue_wait", Latency: s.queueWait.Snapshot().summary()},
+	var out []StageSpan
+	for _, st := range s.stages() {
+		out = append(out, StageSpan{Stage: st.name, Latency: st.h.Snapshot().Summarize()})
 	}
-	for i, h := range s.nfStages {
-		out = append(out, StageSpan{Stage: s.nfNames[i], Latency: h.Snapshot().summary()})
-	}
-	out = append(out,
-		StageSpan{Stage: "service", Latency: s.service.Snapshot().summary()},
-		StageSpan{Stage: "reorder_wait", Latency: s.reorderWait.Snapshot().summary()},
-		StageSpan{Stage: "e2e", Latency: s.e2e.Snapshot().summary()},
-	)
 	return out
 }

@@ -105,7 +105,7 @@ func (c *Client) Member() Member {
 // launches the gossip listener.
 func (c *Client) Start(seed []Member) error {
 	c.mu.Lock()
-	c.view.Seed(seed, nowNanos())
+	c.view.Seed(seed, transport.NowNanos())
 	c.steer = c.view.Steering()
 	c.mu.Unlock()
 	for i := range seed {
@@ -226,7 +226,7 @@ func (c *Client) ctrlLoop() {
 			return
 		default:
 		}
-		c.ctrl.SetReadDeadline(readDeadline(100 * time.Millisecond)) //lint:allow erroreat deadline set on a live socket cannot fail meaningfully
+		c.ctrl.SetReadDeadline(transport.Deadline(100 * time.Millisecond)) //lint:allow erroreat deadline set on a live socket cannot fail meaningfully
 		sz, _, err := c.ctrl.ReadFromUDP(buf)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
@@ -244,7 +244,7 @@ func (c *Client) ctrlLoop() {
 			continue
 		}
 		c.mu.Lock()
-		if c.view.Merge(msg, nowNanos()) {
+		if c.view.Merge(msg, transport.NowNanos()) {
 			c.steer = c.view.Steering()
 		}
 		c.mu.Unlock()

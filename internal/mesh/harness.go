@@ -9,6 +9,7 @@ import (
 	"mpdp/internal/invariant"
 	"mpdp/internal/live"
 	"mpdp/internal/sentinel"
+	"mpdp/internal/stats"
 	"mpdp/internal/transport"
 )
 
@@ -137,8 +138,11 @@ type MeshReport struct {
 	DeadlineHits   uint64 `json:"deadline_hits,omitempty"`
 	DeadlineMisses uint64 `json:"deadline_misses,omitempty"`
 
-	P99PreDrainNanos int64 `json:"p99_pre_drain_nanos,omitempty"`
-	P99OverallNanos  int64 `json:"p99_overall_nanos"`
+	// Latency summarizes mesh-wide e2e latency over the measured window
+	// (every node's histogram merged); P99PreDrainNanos is the same p99
+	// snapshotted just before the drain began.
+	Latency          stats.Summary `json:"latency_ns"`
+	P99PreDrainNanos int64         `json:"p99_pre_drain_nanos,omitempty"`
 	// DrainNanos is how long the victim's graceful Drain took, announce
 	// to final gossip. Frames parked behind the announce (and buffered at
 	// the new owner) surface when the export lands, so the worst-case
@@ -231,7 +235,7 @@ func RunMesh(cfg MeshConfig) (*MeshReport, error) {
 		RegisterMetrics(cfg.Metrics, nodes, client)
 	}
 
-	mergedSnap := func() *live.HistSnapshot {
+	mergedSnap := func() *stats.Hist {
 		merged := nodes[0].E2ESnapshot()
 		for _, n := range nodes[1:] {
 			merged.Merge(n.E2ESnapshot())
@@ -270,8 +274,8 @@ func RunMesh(cfg MeshConfig) (*MeshReport, error) {
 				delta := cur.Delta(prev)
 				prev = cur
 				p99 := int64(-1)
-				if delta.NCount > 0 {
-					p99 = delta.Quantile(0.99)
+				if delta.Count() > 0 {
+					p99 = delta.Percentile(0.99)
 				}
 				var critical bool
 				var unhealthy int
@@ -283,7 +287,7 @@ func RunMesh(cfg MeshConfig) (*MeshReport, error) {
 					unhealthy += int(pc.PathsDegraded) + int(pc.PathsQuarantined) + int(pc.PathsProbing)
 				}
 				trans, ep := det.Observe(sentinel.Sample{
-					Nanos: nowNanos(), P99: p99,
+					Nanos: transport.NowNanos(), P99: p99,
 					SLOCritical: critical, UnhealthyPaths: unhealthy,
 				})
 				if trans == sentinel.TransEnd {
@@ -296,7 +300,7 @@ func RunMesh(cfg MeshConfig) (*MeshReport, error) {
 	// Optional mid-run drain: snapshot the pre-drain tail, then run the
 	// graceful departure while the send loop keeps going — the whole point
 	// is that traffic continues across the ownership change.
-	var preSnap *live.HistSnapshot
+	var preSnap *stats.Hist
 	var drainWG sync.WaitGroup
 	var drainErr error
 	var drainNanos int64
@@ -315,14 +319,14 @@ func RunMesh(cfg MeshConfig) (*MeshReport, error) {
 				return
 			}
 			preSnap = mergedSnap()
-			ds := nowNanos()
+			ds := transport.NowNanos()
 			drainErr = victim.Drain()
-			drainNanos = nowNanos() - ds
+			drainNanos = transport.NowNanos() - ds
 		}()
 	}
 
 	// Send loop, windowed like RunLoopback's.
-	start := nowNanos()
+	start := transport.NowNanos()
 	deadlineNanos := int64(0)
 	if cfg.Duration > 0 {
 		deadlineNanos = start + cfg.Duration.Nanoseconds()
@@ -332,14 +336,14 @@ func RunMesh(cfg MeshConfig) (*MeshReport, error) {
 		payload[i] = byte(i)
 	}
 	var sent, sendErrs uint64
-	var lastProgress = nowNanos()
+	var lastProgress = transport.NowNanos()
 	var lastResolved uint64
 send:
 	for {
 		if cfg.Packets > 0 && sent >= cfg.Packets {
 			break
 		}
-		if deadlineNanos > 0 && nowNanos() >= deadlineNanos {
+		if deadlineNanos > 0 && transport.NowNanos() >= deadlineNanos {
 			break
 		}
 		if cfg.Stop != nil {
@@ -355,11 +359,11 @@ send:
 		for sent-resolved() >= cfg.Window {
 			if r := resolved(); r != lastResolved {
 				lastResolved = r
-				lastProgress = nowNanos()
-			} else if nowNanos()-lastProgress > (100 * time.Millisecond).Nanoseconds() {
+				lastProgress = transport.NowNanos()
+			} else if transport.NowNanos()-lastProgress > (100 * time.Millisecond).Nanoseconds() {
 				break
 			}
-			if deadlineNanos > 0 && nowNanos() >= deadlineNanos {
+			if deadlineNanos > 0 && transport.NowNanos() >= deadlineNanos {
 				break send
 			}
 			time.Sleep(200 * time.Microsecond) //lint:allow determinism real-wire backpressure pacing
@@ -374,10 +378,10 @@ send:
 	// Settle: wait for in-flight frames, reorder flushes, and the drain's
 	// handoff to finish resolving, then for counters to hold still.
 	drainWG.Wait()
-	settleDeadline := nowNanos() + (2*time.Second + 8*cfg.ReorderTimeout).Nanoseconds()
+	settleDeadline := transport.NowNanos() + (2*time.Second + 8*cfg.ReorderTimeout).Nanoseconds()
 	var stable int
 	last := resolved()
-	for stable < 5 && nowNanos() < settleDeadline {
+	for stable < 5 && transport.NowNanos() < settleDeadline {
 		time.Sleep(20 * time.Millisecond) //lint:allow determinism real-wire settle polling
 		if cur := resolved(); cur == last {
 			stable++
@@ -389,7 +393,7 @@ send:
 	close(stopAux)
 	aux.Wait()
 
-	elapsed := time.Duration(nowNanos() - start)
+	elapsed := time.Duration(transport.NowNanos() - start)
 	// Snapshot the latency plane before teardown: closing the nodes
 	// flushes whatever a starved run still holds in its reorder buffers,
 	// and those teardown deliveries — still invariant-checked below —
@@ -405,9 +409,9 @@ send:
 		Resteers: client.Resteers(),
 		Episodes: episodes,
 	}
-	rep.P99OverallNanos = overall.Quantile(0.99)
+	rep.Latency = overall.Summarize()
 	if preSnap != nil {
-		rep.P99PreDrainNanos = preSnap.Quantile(0.99)
+		rep.P99PreDrainNanos = preSnap.Percentile(0.99)
 	}
 	rep.DrainNanos = drainNanos
 	for _, n := range nodes {

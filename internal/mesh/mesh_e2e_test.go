@@ -37,7 +37,7 @@ func TestMeshSteadyState(t *testing.T) {
 		t.Fatalf("epoch %d after a membership-stable run, want 1", rep.EpochEnd)
 	}
 	t.Logf("steady: packets=%d delivered=%d gaps=%d p99=%v",
-		rep.Packets, rep.Delivered, rep.Gaps, time.Duration(rep.P99OverallNanos))
+		rep.Packets, rep.Delivered, rep.Gaps, time.Duration(rep.Latency.P99))
 }
 
 // TestMeshDrainHandoffE25 is experiment E25 in-process: 4 nodes, one
@@ -123,16 +123,16 @@ func TestMeshDrainHandoffE25(t *testing.T) {
 			bound = floor
 		}
 		bound += rep.DrainNanos
-		if rep.P99OverallNanos > bound {
+		if rep.Latency.P99 > bound {
 			t.Fatalf("p99 inflated %v → %v, past the %v bound (drain %v, run elapsed %v)",
-				time.Duration(rep.P99PreDrainNanos), time.Duration(rep.P99OverallNanos), time.Duration(bound),
+				time.Duration(rep.P99PreDrainNanos), time.Duration(rep.Latency.P99), time.Duration(bound),
 				time.Duration(rep.DrainNanos), rep.Elapsed)
 		}
 	}
 	t.Logf("E25: packets=%d delivered=%d resteers=%d handoff_flows=%d moved_seqs=%d stale_steers=%d forwarded=%d episodes=%d p99 %v→%v",
 		rep.Packets, rep.Delivered, rep.Resteers, rep.HandoffFlows, rep.MovedSeqs,
 		rep.StaleSteers, rep.Forwarded, len(rep.Episodes),
-		time.Duration(rep.P99PreDrainNanos), time.Duration(rep.P99OverallNanos))
+		time.Duration(rep.P99PreDrainNanos), time.Duration(rep.Latency.P99))
 }
 
 // TestMeshDrainToSingleSurvivor: drain one of two nodes — every flow

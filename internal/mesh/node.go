@@ -13,6 +13,7 @@ import (
 	"mpdp/internal/live"
 	"mpdp/internal/packet"
 	"mpdp/internal/sim"
+	"mpdp/internal/stats"
 	"mpdp/internal/transport"
 )
 
@@ -212,7 +213,7 @@ func (n *Node) Member() Member {
 // Start seeds the membership view and launches the control loops.
 func (n *Node) Start(seed []Member) {
 	n.mu.Lock()
-	n.view.Seed(seed, nowNanos())
+	n.view.Seed(seed, transport.NowNanos())
 	n.steer = n.view.Steering()
 	n.mu.Unlock()
 	n.wg.Add(2)
@@ -251,7 +252,7 @@ func (n *Node) onTransportLost(p *packet.Packet) {
 // returns a relay action (target + encoded datagram) to perform outside
 // the lock, or (NodeNone, nil).
 func (n *Node) arrive(seq, flow uint64, sendNanos int64, payload []byte, epoch uint64, prev NodeID, pathID int) (NodeID, []byte) {
-	now := nowNanos()
+	now := transport.NowNanos()
 	n.mu.Lock()
 	defer n.mu.Unlock()
 
@@ -461,7 +462,7 @@ func (n *Node) ctrlLoop() {
 			return
 		default:
 		}
-		n.ctrl.SetReadDeadline(readDeadline(100 * time.Millisecond)) //lint:allow erroreat deadline set on a live socket cannot fail meaningfully
+		n.ctrl.SetReadDeadline(transport.Deadline(100 * time.Millisecond)) //lint:allow erroreat deadline set on a live socket cannot fail meaningfully
 		sz, _, err := n.ctrl.ReadFromUDP(buf)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
@@ -511,7 +512,7 @@ func (n *Node) handleControl(b []byte) {
 // the eligible set moved.
 func (n *Node) mergeGossip(msg *GossipMessage) {
 	n.mu.Lock()
-	if n.view.Merge(msg, nowNanos()) {
+	if n.view.Merge(msg, transport.NowNanos()) {
 		n.steer = n.view.Steering()
 	}
 	n.mu.Unlock()
@@ -520,7 +521,7 @@ func (n *Node) mergeGossip(msg *GossipMessage) {
 // installHandoff adopts the serialized flow state from a draining owner,
 // drains any frames buffered while the record was in flight, and acks.
 func (n *Node) installHandoff(rec *HandoffRecord) {
-	now := nowNanos()
+	now := transport.NowNanos()
 	n.mu.Lock()
 	if rec.Epoch > n.view.Epoch() {
 		// The record proves a newer membership; gossip will catch us up,
@@ -561,7 +562,7 @@ func (n *Node) gossipLoop() {
 
 // gossipTick is one control-plane heartbeat.
 func (n *Node) gossipTick() {
-	now := nowNanos()
+	now := transport.NowNanos()
 	n.mu.Lock()
 	n.ticks++
 	// SLO windows advance about once a second regardless of gossip pace.
@@ -764,8 +765,8 @@ func (n *Node) Drain() error {
 		acked := false
 		for attempt := 0; attempt < 5 && !acked; attempt++ {
 			n.relay(r.target, r.buf)
-			deadline := nowNanos() + (150 * time.Millisecond).Nanoseconds()
-			for nowNanos() < deadline {
+			deadline := transport.NowNanos() + (150 * time.Millisecond).Nanoseconds()
+			for transport.NowNanos() < deadline {
 				time.Sleep(5 * time.Millisecond) //lint:allow determinism ack polling during a real-wire drain
 				n.mu.Lock()
 				acked = n.acked[r.seq]
@@ -868,7 +869,7 @@ func (n *Node) Stats() NodeStats {
 		PathsQuarantined:  int(sum.PathsQuarantined),
 		PathsProbing:      int(sum.PathsProbing),
 		BurnRate:          sum.BurnRate,
-		P99Nanos:          n.e2e.Snapshot().Quantile(0.99),
+		P99Nanos:          n.e2e.Snapshot().Percentile(0.99),
 	}
 	if n.slo != nil {
 		state, _ := n.slo.State()
@@ -878,7 +879,7 @@ func (n *Node) Stats() NodeStats {
 }
 
 // E2ESnapshot returns the node's end-to-end latency histogram snapshot.
-func (n *Node) E2ESnapshot() *live.HistSnapshot { return n.e2e.Snapshot() }
+func (n *Node) E2ESnapshot() *stats.Hist { return n.e2e.Snapshot() }
 
 // EligibleCount returns the node's view of the flow-owning member count.
 func (n *Node) EligibleCount() int {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -17,8 +16,10 @@ import (
 //
 // Records are fixed-size (61 bytes) and emission-ordered; times are
 // non-decreasing because hooks emit at the simulator's current time.
-// Writer and Reader both enforce the invariants, so a truncated or
-// corrupted stream is detected rather than silently misparsed.
+// Writer and Reader both enforce the invariants (defined kind, time ≥ 0 and
+// non-decreasing, path ≥ -1), so a truncated or corrupted stream is
+// detected rather than silently misparsed. The stream machinery is shared
+// with the wire codec (stream.go); this file is the OBS1 schema.
 
 // MagicOBS identifies an event stream.
 var MagicOBS = [8]byte{'M', 'P', 'D', 'P', 'O', 'B', 'S', '1'}
@@ -33,150 +34,57 @@ var (
 	ErrNonMonotonic = errors.New("obs: event times must be non-decreasing")
 )
 
-// Writer streams events to w.
-type Writer struct {
-	w    *bufio.Writer
-	last sim.Time
-	n    uint64
-	b    uint64
+var obsSchema = schema[Event]{
+	magic: MagicOBS, size: recordSize,
+	badMagic: ErrBadMagic, corrupt: ErrCorrupt,
+	put: func(rec []byte, ev Event) {
+		binary.LittleEndian.PutUint64(rec[0:8], uint64(ev.Time))
+		rec[8] = byte(ev.Kind)
+		binary.LittleEndian.PutUint64(rec[9:17], ev.PktID)
+		binary.LittleEndian.PutUint64(rec[17:25], ev.OrigID)
+		binary.LittleEndian.PutUint64(rec[25:33], ev.FlowID)
+		binary.LittleEndian.PutUint64(rec[33:41], ev.Seq)
+		binary.LittleEndian.PutUint32(rec[41:45], uint32(ev.Path))
+		binary.LittleEndian.PutUint64(rec[45:53], uint64(ev.A))
+		binary.LittleEndian.PutUint64(rec[53:61], uint64(ev.B))
+	},
+	get: func(rec []byte) Event {
+		return Event{
+			Time:   sim.Time(binary.LittleEndian.Uint64(rec[0:8])),
+			Kind:   Kind(rec[8]),
+			PktID:  binary.LittleEndian.Uint64(rec[9:17]),
+			OrigID: binary.LittleEndian.Uint64(rec[17:25]),
+			FlowID: binary.LittleEndian.Uint64(rec[25:33]),
+			Seq:    binary.LittleEndian.Uint64(rec[33:41]),
+			Path:   int32(binary.LittleEndian.Uint32(rec[41:45])),
+			A:      int64(binary.LittleEndian.Uint64(rec[45:53])),
+			B:      int64(binary.LittleEndian.Uint64(rec[53:61])),
+		}
+	},
+	valid: func(ev Event) bool {
+		return int(ev.Kind) < NumKinds && ev.Time >= 0 && ev.Path >= -1
+	},
+	time: func(ev Event) int64 { return int64(ev.Time) },
 }
+
+// Writer streams events to an io.Writer: Write appends one event (times
+// must be non-decreasing and the kind defined), Count and BytesWritten
+// report progress, Flush must be called when done.
+type Writer = streamWriter[Event]
 
 // NewWriter writes the header and returns a Writer. Call Flush when done.
-func NewWriter(w io.Writer) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(MagicOBS[:]); err != nil {
-		return nil, err
-	}
-	return &Writer{w: bw, b: uint64(len(MagicOBS))}, nil
-}
+func NewWriter(w io.Writer) (*Writer, error) { return newStreamWriter(&obsSchema, w) }
 
-// Write appends one event. Times must be non-decreasing and the kind
-// must be defined.
-func (ew *Writer) Write(ev Event) error {
-	if ev.Time < ew.last {
-		return ErrNonMonotonic
-	}
-	if int(ev.Kind) >= NumKinds {
-		return ErrCorrupt
-	}
-	ew.last = ev.Time
-	var rec [recordSize]byte
-	binary.LittleEndian.PutUint64(rec[0:8], uint64(ev.Time))
-	rec[8] = byte(ev.Kind)
-	binary.LittleEndian.PutUint64(rec[9:17], ev.PktID)
-	binary.LittleEndian.PutUint64(rec[17:25], ev.OrigID)
-	binary.LittleEndian.PutUint64(rec[25:33], ev.FlowID)
-	binary.LittleEndian.PutUint64(rec[33:41], ev.Seq)
-	binary.LittleEndian.PutUint32(rec[41:45], uint32(ev.Path))
-	binary.LittleEndian.PutUint64(rec[45:53], uint64(ev.A))
-	binary.LittleEndian.PutUint64(rec[53:61], uint64(ev.B))
-	if _, err := ew.w.Write(rec[:]); err != nil {
-		return err
-	}
-	ew.n++
-	ew.b += recordSize
-	return nil
-}
-
-// Count returns the number of events written.
-func (ew *Writer) Count() uint64 { return ew.n }
-
-// BytesWritten returns the encoded size so far (header included).
-func (ew *Writer) BytesWritten() int64 { return int64(ew.b) }
-
-// Flush flushes buffered records to the underlying writer.
-func (ew *Writer) Flush() error { return ew.w.Flush() }
-
-// Reader streams events from r.
-type Reader struct {
-	r    *bufio.Reader
-	last sim.Time
-	n    uint64
-}
+// Reader streams events from an io.Reader: Next returns the next event, or
+// io.EOF at a clean end of stream (a partial trailing record is
+// ErrCorrupt); Count reports how many were read.
+type Reader = streamReader[Event]
 
 // NewReader validates the header and returns a Reader.
-func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, ErrBadMagic
-	}
-	if magic != MagicOBS {
-		return nil, ErrBadMagic
-	}
-	return &Reader{r: br}, nil
-}
-
-// Next returns the next event, or io.EOF at a clean end of stream. A
-// partial trailing record is reported as ErrCorrupt, never as success.
-func (er *Reader) Next() (Event, error) {
-	var rec [recordSize]byte
-	if _, err := io.ReadFull(er.r, rec[:]); err != nil {
-		if err == io.EOF {
-			return Event{}, io.EOF
-		}
-		return Event{}, ErrCorrupt
-	}
-	ev := Event{
-		Time:   sim.Time(binary.LittleEndian.Uint64(rec[0:8])),
-		Kind:   Kind(rec[8]),
-		PktID:  binary.LittleEndian.Uint64(rec[9:17]),
-		OrigID: binary.LittleEndian.Uint64(rec[17:25]),
-		FlowID: binary.LittleEndian.Uint64(rec[25:33]),
-		Seq:    binary.LittleEndian.Uint64(rec[33:41]),
-		Path:   int32(binary.LittleEndian.Uint32(rec[41:45])),
-		A:      int64(binary.LittleEndian.Uint64(rec[45:53])),
-		B:      int64(binary.LittleEndian.Uint64(rec[53:61])),
-	}
-	if int(ev.Kind) >= NumKinds {
-		return Event{}, ErrCorrupt
-	}
-	if ev.Time < 0 {
-		return Event{}, ErrCorrupt
-	}
-	if ev.Time < er.last {
-		return Event{}, ErrNonMonotonic
-	}
-	if ev.Path < -1 {
-		return Event{}, ErrCorrupt
-	}
-	er.last = ev.Time
-	er.n++
-	return ev, nil
-}
-
-// Count returns the number of events read so far.
-func (er *Reader) Count() uint64 { return er.n }
+func NewReader(r io.Reader) (*Reader, error) { return newStreamReader(&obsSchema, r) }
 
 // ReadAll drains the stream into memory.
-func ReadAll(r io.Reader) ([]Event, error) {
-	er, err := NewReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var out []Event
-	for {
-		ev, err := er.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ev)
-	}
-}
+func ReadAll(r io.Reader) ([]Event, error) { return readAll(&obsSchema, r) }
 
 // WriteAll encodes events to w in one call (header + records + flush).
-func WriteAll(w io.Writer, events []Event) error {
-	ew, err := NewWriter(w)
-	if err != nil {
-		return err
-	}
-	for _, ev := range events {
-		if err := ew.Write(ev); err != nil {
-			return err
-		}
-	}
-	return ew.Flush()
-}
+func WriteAll(w io.Writer, events []Event) error { return writeAll(&obsSchema, w, events) }

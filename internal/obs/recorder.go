@@ -54,15 +54,8 @@ func (r *Recorder) Overwritten() uint64 { return r.emitted - uint64(r.n) }
 // Events returns the held events, oldest first (a copy; the ring keeps
 // recording).
 func (r *Recorder) Events() []Event {
-	out := make([]Event, 0, r.n)
-	start := r.next - r.n
-	if start < 0 {
-		start += len(r.buf)
-	}
-	for i := 0; i < r.n; i++ {
-		out = append(out, r.buf[(start+i)%len(r.buf)])
-	}
-	return out
+	older, newer := ringSpans(r.buf, r.next, r.n)
+	return append(append(make([]Event, 0, r.n), older...), newer...)
 }
 
 // WriteTo encodes the held events, oldest first, in the MPDPOBS1 binary
@@ -72,17 +65,26 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	start := r.next - r.n
-	if start < 0 {
-		start += len(r.buf)
-	}
-	for i := 0; i < r.n; i++ {
-		if err := ew.Write(r.buf[(start+i)%len(r.buf)]); err != nil {
-			return ew.BytesWritten(), err
+	older, newer := ringSpans(r.buf, r.next, r.n)
+	for _, span := range [][]Event{older, newer} {
+		for _, ev := range span {
+			if err := ew.Write(ev); err != nil {
+				return ew.BytesWritten(), err
+			}
 		}
 	}
-	if err := ew.Flush(); err != nil {
-		return ew.BytesWritten(), err
+	err = ew.Flush()
+	return ew.BytesWritten(), err
+}
+
+// ringSpans returns the last count entries of a ring whose write cursor is
+// next, oldest first, as the (up to) two contiguous runs of buf holding
+// them. The slices alias buf: copy them out to keep them past the next
+// write.
+func ringSpans[E any](buf []E, next, count int) (older, newer []E) {
+	start := next - count
+	if start >= 0 {
+		return buf[start:next], nil
 	}
-	return ew.BytesWritten(), nil
+	return buf[start+len(buf):], buf[:next]
 }

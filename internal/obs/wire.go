@@ -314,24 +314,10 @@ func (r *WireRecorder) Events() []WireEvent {
 func (r *WireRecorder) SnapshotSince(since uint64) ([]WireEvent, uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	oldest := r.emitted - uint64(r.n) // emit index of the oldest held event
-	skip := uint64(0)
-	if since > oldest {
-		skip = since - oldest
-	}
 	count := r.n
-	if skip >= uint64(r.n) {
-		count = 0
-	} else {
-		count = r.n - int(skip)
+	if oldest := r.emitted - uint64(r.n); since > oldest { // oldest held event's emit index
+		count -= int(min(since-oldest, uint64(r.n)))
 	}
-	out := make([]WireEvent, 0, count)
-	start := r.next - count
-	if start < 0 {
-		start += len(r.buf)
-	}
-	for i := 0; i < count; i++ {
-		out = append(out, r.buf[(start+i)%len(r.buf)])
-	}
-	return out, r.emitted
+	older, newer := ringSpans(r.buf, r.next, count)
+	return append(append(make([]WireEvent, 0, count), older...), newer...), r.emitted
 }

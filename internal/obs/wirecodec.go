@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -21,7 +20,8 @@ import (
 // receiver stream), and within one endpoint concurrent emitters may
 // serialize slightly out of timestamp order. Everything else the OBS
 // codec enforces — magic, kind and endpoint bounds, path ≥ -1, no
-// negative timestamps, truncation detected — holds here too, and the
+// negative timestamps, truncation detected — holds here too (it is the
+// same stream machinery, stream.go, under this file's schema), and the
 // decoder is fuzzed to never panic on arbitrary input.
 
 // MagicWIR identifies a wire event stream.
@@ -36,145 +36,60 @@ var (
 	ErrWireCorrupt  = errors.New("obs: corrupt wire record")
 )
 
-// WireWriter streams wire events to w.
-type WireWriter struct {
-	w *bufio.Writer
-	n uint64
-	b uint64
+var wireSchema = schema[WireEvent]{
+	magic: MagicWIR, size: wireRecordSize,
+	badMagic: ErrWireBadMagic, corrupt: ErrWireCorrupt,
+	put: func(rec []byte, ev WireEvent) {
+		binary.LittleEndian.PutUint64(rec[0:8], uint64(ev.Nanos))
+		rec[8] = byte(ev.Kind)
+		rec[9] = byte(ev.End)
+		binary.LittleEndian.PutUint32(rec[10:14], uint32(ev.Path))
+		binary.LittleEndian.PutUint64(rec[14:22], ev.FlowID)
+		binary.LittleEndian.PutUint64(rec[22:30], ev.Seq)
+		binary.LittleEndian.PutUint64(rec[30:38], ev.PathSeq)
+		binary.LittleEndian.PutUint64(rec[38:46], uint64(ev.A))
+		binary.LittleEndian.PutUint64(rec[46:54], uint64(ev.B))
+	},
+	get: func(rec []byte) WireEvent {
+		return WireEvent{
+			Nanos:   int64(binary.LittleEndian.Uint64(rec[0:8])),
+			Kind:    WireKind(rec[8]),
+			End:     WireEnd(rec[9]),
+			Path:    int32(binary.LittleEndian.Uint32(rec[10:14])),
+			FlowID:  binary.LittleEndian.Uint64(rec[14:22]),
+			Seq:     binary.LittleEndian.Uint64(rec[22:30]),
+			PathSeq: binary.LittleEndian.Uint64(rec[30:38]),
+			A:       int64(binary.LittleEndian.Uint64(rec[38:46])),
+			B:       int64(binary.LittleEndian.Uint64(rec[46:54])),
+		}
+	},
+	valid: func(ev WireEvent) bool {
+		return int(ev.Kind) < NumWireKinds && int(ev.End) < NumWireEnds && ev.Nanos >= 0 && ev.Path >= -1
+	},
 }
+
+// WireWriter streams wire events to an io.Writer: Write appends one event
+// (kind and endpoint defined, path ≥ -1, timestamp non-negative — the
+// invariants the reader enforces), Count and BytesWritten report progress,
+// Flush must be called when done.
+type WireWriter = streamWriter[WireEvent]
 
 // NewWireWriter writes the header and returns a WireWriter. Call Flush
 // when done.
-func NewWireWriter(w io.Writer) (*WireWriter, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(MagicWIR[:]); err != nil {
-		return nil, err
-	}
-	return &WireWriter{w: bw, b: uint64(len(MagicWIR))}, nil
-}
+func NewWireWriter(w io.Writer) (*WireWriter, error) { return newStreamWriter(&wireSchema, w) }
 
-// Write appends one event. The kind and endpoint must be defined, the
-// path ≥ -1, the timestamp non-negative — the same invariants the reader
-// enforces, so a stream this writer produced always reads back.
-func (ww *WireWriter) Write(ev WireEvent) error {
-	if int(ev.Kind) >= NumWireKinds || int(ev.End) >= NumWireEnds {
-		return ErrWireCorrupt
-	}
-	if ev.Nanos < 0 || ev.Path < -1 {
-		return ErrWireCorrupt
-	}
-	var rec [wireRecordSize]byte
-	binary.LittleEndian.PutUint64(rec[0:8], uint64(ev.Nanos))
-	rec[8] = byte(ev.Kind)
-	rec[9] = byte(ev.End)
-	binary.LittleEndian.PutUint32(rec[10:14], uint32(ev.Path))
-	binary.LittleEndian.PutUint64(rec[14:22], ev.FlowID)
-	binary.LittleEndian.PutUint64(rec[22:30], ev.Seq)
-	binary.LittleEndian.PutUint64(rec[30:38], ev.PathSeq)
-	binary.LittleEndian.PutUint64(rec[38:46], uint64(ev.A))
-	binary.LittleEndian.PutUint64(rec[46:54], uint64(ev.B))
-	if _, err := ww.w.Write(rec[:]); err != nil {
-		return err
-	}
-	ww.n++
-	ww.b += wireRecordSize
-	return nil
-}
-
-// Count returns the number of events written.
-func (ww *WireWriter) Count() uint64 { return ww.n }
-
-// BytesWritten returns the encoded size so far (header included).
-func (ww *WireWriter) BytesWritten() int64 { return int64(ww.b) }
-
-// Flush flushes buffered records to the underlying writer.
-func (ww *WireWriter) Flush() error { return ww.w.Flush() }
-
-// WireReader streams wire events from r.
-type WireReader struct {
-	r *bufio.Reader
-	n uint64
-}
+// WireReader streams wire events from an io.Reader: Next returns the next
+// event, or io.EOF at a clean end of stream (a partial trailing record is
+// ErrWireCorrupt); Count reports how many were read.
+type WireReader = streamReader[WireEvent]
 
 // NewWireReader validates the header and returns a WireReader.
-func NewWireReader(r io.Reader) (*WireReader, error) {
-	br := bufio.NewReader(r)
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
-		return nil, ErrWireBadMagic
-	}
-	if magic != MagicWIR {
-		return nil, ErrWireBadMagic
-	}
-	return &WireReader{r: br}, nil
-}
-
-// Next returns the next event, or io.EOF at a clean end of stream. A
-// partial trailing record is reported as ErrWireCorrupt, never as
-// success.
-func (wr *WireReader) Next() (WireEvent, error) {
-	var rec [wireRecordSize]byte
-	if _, err := io.ReadFull(wr.r, rec[:]); err != nil {
-		if err == io.EOF {
-			return WireEvent{}, io.EOF
-		}
-		return WireEvent{}, ErrWireCorrupt
-	}
-	ev := WireEvent{
-		Nanos:   int64(binary.LittleEndian.Uint64(rec[0:8])),
-		Kind:    WireKind(rec[8]),
-		End:     WireEnd(rec[9]),
-		Path:    int32(binary.LittleEndian.Uint32(rec[10:14])),
-		FlowID:  binary.LittleEndian.Uint64(rec[14:22]),
-		Seq:     binary.LittleEndian.Uint64(rec[22:30]),
-		PathSeq: binary.LittleEndian.Uint64(rec[30:38]),
-		A:       int64(binary.LittleEndian.Uint64(rec[38:46])),
-		B:       int64(binary.LittleEndian.Uint64(rec[46:54])),
-	}
-	if int(ev.Kind) >= NumWireKinds || int(ev.End) >= NumWireEnds {
-		return WireEvent{}, ErrWireCorrupt
-	}
-	if ev.Nanos < 0 || ev.Path < -1 {
-		return WireEvent{}, ErrWireCorrupt
-	}
-	wr.n++
-	return ev, nil
-}
-
-// Count returns the number of events read so far.
-func (wr *WireReader) Count() uint64 { return wr.n }
+func NewWireReader(r io.Reader) (*WireReader, error) { return newStreamReader(&wireSchema, r) }
 
 // ReadAllWire drains a wire stream into memory.
-func ReadAllWire(r io.Reader) ([]WireEvent, error) {
-	wr, err := NewWireReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var out []WireEvent
-	for {
-		ev, err := wr.Next()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ev)
-	}
-}
+func ReadAllWire(r io.Reader) ([]WireEvent, error) { return readAll(&wireSchema, r) }
 
 // WriteAllWire encodes events to w in one call (header + records +
 // flush). The gateway uses it to concatenate the sender and receiver
 // rings into one merged trace file.
-func WriteAllWire(w io.Writer, events []WireEvent) error {
-	ww, err := NewWireWriter(w)
-	if err != nil {
-		return err
-	}
-	for _, ev := range events {
-		if err := ww.Write(ev); err != nil {
-			return err
-		}
-	}
-	return ww.Flush()
-}
+func WriteAllWire(w io.Writer, events []WireEvent) error { return writeAll(&wireSchema, w, events) }

@@ -9,6 +9,7 @@ import (
 
 	"mpdp/internal/live"
 	"mpdp/internal/obs"
+	"mpdp/internal/stats"
 	"mpdp/internal/transport"
 )
 
@@ -53,7 +54,7 @@ type Capture struct {
 	cfg CaptureConfig
 	det *Detector
 
-	prevHist   *live.HistSnapshot
+	prevHist   *stats.Hist
 	lastHealth map[int]string
 	timeline   []HealthChange
 
@@ -124,8 +125,8 @@ func (c *Capture) Tick() error {
 	}
 	c.prevHist = snap
 	p99 := int64(-1)
-	if win.NCount > 0 {
-		p99 = win.Quantile(0.99)
+	if win.Count() > 0 {
+		p99 = win.Percentile(0.99)
 	}
 
 	crit := false

@@ -18,16 +18,23 @@ import (
 // each power-of-two range is split into 64 geometric sub-buckets, bounding
 // relative quantile error by 2^-6 ≈ 1.6%. This mirrors HdrHistogram's
 // design while staying dependency-free.
+//
+// This is the only bucket layout in the tree: the simulator records into a
+// Hist directly, and the live/wire recorder (live.Histogram) keeps atomic
+// counters indexed by BucketOf and hands them over through AddBuckets, so
+// every engine's snapshots merge and compare bucket for bucket.
 const (
 	histMantissaBits = 6
 	histLinearLimit  = 1 << histMantissaBits // 64
 	histSubBuckets   = 1 << histMantissaBits
-	histNumBuckets   = histLinearLimit + (63-histMantissaBits)*histSubBuckets + histSubBuckets
+	// NumBuckets is the number of buckets in the layout: the length of the
+	// counter array a recorder indexing by BucketOf must keep.
+	NumBuckets = histLinearLimit + (63-histMantissaBits)*histSubBuckets + histSubBuckets
 )
 
 // Hist is a fixed-memory latency histogram. The zero value is ready to use.
 type Hist struct {
-	counts [histNumBuckets]uint64
+	counts [NumBuckets]uint64
 	count  uint64
 	sum    int64
 	min    int64
@@ -37,7 +44,8 @@ type Hist struct {
 // NewHist returns an empty histogram.
 func NewHist() *Hist { return &Hist{min: math.MaxInt64} }
 
-func bucketOf(v int64) int {
+// BucketOf returns the index of the bucket holding v (v must be >= 0).
+func BucketOf(v int64) int {
 	if v < histLinearLimit {
 		return int(v)
 	}
@@ -68,7 +76,7 @@ func bucketUpper(i int) int64 {
 }
 
 func bucketLowerSafe(i int) int64 {
-	if i >= histNumBuckets {
+	if i >= NumBuckets {
 		return math.MaxInt64
 	}
 	return bucketLower(i)
@@ -84,7 +92,7 @@ func (h *Hist) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[bucketOf(v)]++
+	h.counts[BucketOf(v)]++
 	h.count++
 	h.sum += v
 	if v < h.min {
@@ -121,10 +129,31 @@ func (h *Hist) Min() int64 {
 func (h *Hist) Max() int64 { return h.max }
 
 // Percentile returns the value at quantile q in [0,1], with ≤1.6% relative
-// error above 64 and exact below. Empty histograms return 0.
+// error above 64 and exact below: the midpoint of the bucket holding the
+// rank-q observation, clamped to the observed extremes so p0/p100 stay
+// inside them. Empty histograms return 0.
 func (h *Hist) Percentile(q float64) int64 {
 	if h.count == 0 {
 		return 0
+	}
+	lo, hi := h.QuantileBounds(q)
+	mid := lo + (hi-lo)/2
+	if mid < h.min {
+		mid = h.min
+	}
+	if mid > h.max {
+		mid = h.max
+	}
+	return mid
+}
+
+// QuantileBounds returns the exact bucket bounds [lo, hi] bracketing the
+// rank-q observation: the true quantile is guaranteed to lie inside, so a
+// reading is never silently wrong by more than its stated bracket. Empty
+// histograms return (0, 0).
+func (h *Hist) QuantileBounds(q float64) (lo, hi int64) {
+	if h.count == 0 {
+		return 0, 0
 	}
 	if q < 0 {
 		q = 0
@@ -141,37 +170,67 @@ func (h *Hist) Percentile(q float64) int64 {
 	for i := range h.counts {
 		cum += h.counts[i]
 		if cum >= rank {
-			// Midpoint of the bucket, clamped to observed extremes so
-			// p0/p100 remain exact.
-			mid := (bucketLower(i) + bucketUpper(i)) / 2
-			if mid < h.min {
-				mid = h.min
-			}
-			if mid > h.max {
-				mid = h.max
-			}
-			return mid
+			return bucketLower(i), bucketUpper(i)
 		}
 	}
-	return h.max
+	return h.max, h.max
 }
 
 // Merge adds all of o's observations into h.
 func (h *Hist) Merge(o *Hist) {
-	if o.count == 0 {
+	h.AddBuckets(&o.counts, o.sum, o.min, o.max)
+}
+
+// AddBuckets folds pre-bucketed observations into h: counts[i] of them in
+// bucket i (as indexed by BucketOf), with their exact sum and extremes
+// [lo, hi]. This is how a recorder that keeps its own counters hands them
+// to the one read side. An all-zero counts is a no-op (sum, lo and hi are
+// ignored).
+func (h *Hist) AddBuckets(counts *[NumBuckets]uint64, sum, lo, hi int64) {
+	var n uint64
+	for i, c := range counts {
+		h.counts[i] += c
+		n += c
+	}
+	if n == 0 {
 		return
 	}
-	for i, c := range o.counts {
-		h.counts[i] += c
+	if h.count == 0 || lo < h.min {
+		h.min = lo
 	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
+	if hi > h.max {
+		h.max = hi
 	}
-	if o.max > h.max {
-		h.max = o.max
+	h.count += n
+	h.sum += sum
+}
+
+// Delta returns the observations recorded since prev, an earlier snapshot
+// of the same recorder — the windowed view the tail sentinel quantiles
+// each tick. Counts subtract with a clamp at zero (a recorder racing the
+// two snapshots can make a bucket appear to run backwards by an in-flight
+// observation; clamping keeps the window well-formed). Min/Max are not
+// recoverable from cumulative extremes, so the delta's are the bounds of
+// its first and last occupied buckets — exact enough for quantiles, which
+// is all a window is for.
+func (h *Hist) Delta(prev *Hist) *Hist {
+	var counts [NumBuckets]uint64
+	first, last := -1, -1
+	for i := range counts {
+		if h.counts[i] <= prev.counts[i] {
+			continue
+		}
+		counts[i] = h.counts[i] - prev.counts[i]
+		if first < 0 {
+			first = i
+		}
+		last = i
 	}
-	h.count += o.count
-	h.sum += o.sum
+	d := &Hist{}
+	if first >= 0 {
+		d.AddBuckets(&counts, max(h.sum-prev.sum, 0), bucketLower(first), bucketUpper(last))
+	}
+	return d
 }
 
 // Reset clears the histogram.
@@ -198,6 +257,45 @@ func (h *Hist) CDF() []CDFPoint {
 		}
 		cum += c
 		out = append(out, CDFPoint{Value: bucketUpper(i), Frac: float64(cum) / float64(h.count)})
+	}
+	return out
+}
+
+// Bucket is one cumulative Prometheus-style bucket: Count observations
+// with value <= Le.
+type Bucket struct {
+	Le    int64 // upper bound, inclusive
+	Count uint64
+}
+
+// CumBuckets returns the histogram as cumulative buckets coalesced to
+// power-of-two upper bounds — at most one bucket per occupied octave, so a
+// Prometheus exposition stays a few dozen lines however fine the internal
+// resolution. The final bucket's count equals Count (the +Inf bucket is
+// the caller's to add).
+func (h *Hist) CumBuckets() []Bucket {
+	if h.count == 0 {
+		return nil
+	}
+	var out []Bucket
+	var cum uint64
+	// The linear region coalesces into one bucket, le=63.
+	for i := 0; i < histLinearLimit; i++ {
+		cum += h.counts[i]
+	}
+	if cum > 0 {
+		out = append(out, Bucket{Le: histLinearLimit - 1, Count: cum})
+	}
+	for base := histLinearLimit; base < NumBuckets; base += histSubBuckets {
+		var octave uint64
+		for _, c := range h.counts[base : base+histSubBuckets] {
+			octave += c
+		}
+		if octave == 0 {
+			continue
+		}
+		cum += octave
+		out = append(out, Bucket{Le: bucketUpper(base + histSubBuckets - 1), Count: cum})
 	}
 	return out
 }

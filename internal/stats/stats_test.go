@@ -177,13 +177,19 @@ func TestHistSummarizeOrdering(t *testing.T) {
 }
 
 func TestBucketBoundsConsistent(t *testing.T) {
-	// Every value maps into a bucket whose [lower, upper] contains it.
-	values := []int64{0, 1, 63, 64, 65, 127, 128, 1000, 123456, 1 << 30, 1<<62 - 1}
+	// Every value maps into a bucket whose [lower, upper] contains it, and
+	// neighbouring buckets do not overlap.
+	values := []int64{0, 1, 63, 64, 65, 127, 128, 1000, 123456, 1 << 30, 1<<40 + 12345, 1<<62 - 1, math.MaxInt64}
 	for _, v := range values {
-		b := bucketOf(v)
+		b := BucketOf(v)
 		lo, hi := bucketLower(b), bucketUpper(b)
 		if v < lo || v > hi {
 			t.Errorf("value %d in bucket %d bounds [%d,%d]", v, b, lo, hi)
+		}
+		if b > 0 {
+			if prevHi := bucketUpper(b - 1); prevHi >= lo {
+				t.Errorf("bucket %d lower %d overlaps bucket %d upper %d", b, lo, b-1, prevHi)
+			}
 		}
 	}
 }
@@ -191,7 +197,7 @@ func TestBucketBoundsConsistent(t *testing.T) {
 func TestQuickBucketContainment(t *testing.T) {
 	f := func(v uint64) bool {
 		x := int64(v & ((1 << 62) - 1))
-		b := bucketOf(x)
+		b := BucketOf(x)
 		return x >= bucketLower(b) && x <= bucketUpper(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -205,7 +211,7 @@ func TestQuickBucketMonotone(t *testing.T) {
 		if x > y {
 			x, y = y, x
 		}
-		return bucketOf(x) <= bucketOf(y)
+		return BucketOf(x) <= BucketOf(y)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -547,5 +553,119 @@ func TestRollingP2BeforeFirstRotation(t *testing.T) {
 	r.Add(42)
 	if r.Value() != 42 {
 		t.Fatalf("live fallback = %v", r.Value())
+	}
+}
+
+func TestHistQuantileBounds(t *testing.T) {
+	h := NewHist()
+	if lo, hi := h.QuantileBounds(0.99); lo != 0 || hi != 0 {
+		t.Fatalf("empty bounds [%d,%d]", lo, hi)
+	}
+	r := xrand.New(7)
+	sample := make([]int64, 0, 20000)
+	for i := 0; i < 20000; i++ {
+		v := int64(r.ExpFloat64(1.0/80000) + 1)
+		h.Record(v)
+		sample = append(sample, v)
+	}
+	qs := []float64{0.5, 0.9, 0.99, 0.999}
+	exact := Quantiles(sample, qs...)
+	for i, q := range qs {
+		lo, hi := h.QuantileBounds(q)
+		if exact[i] < lo || exact[i] > hi {
+			t.Fatalf("q%.3f: exact %d outside reported bounds [%d, %d]", q, exact[i], lo, hi)
+		}
+		if p := h.Percentile(q); p < lo || p > hi {
+			t.Fatalf("q%.3f: percentile %d outside its own bounds [%d, %d]", q, p, lo, hi)
+		}
+	}
+}
+
+func TestHistCumBuckets(t *testing.T) {
+	h := NewHist()
+	if h.CumBuckets() != nil {
+		t.Fatal("empty CumBuckets not nil")
+	}
+	for _, v := range []int64{5, 63, 100, 100, 5000, 1 << 20, math.MaxInt64} {
+		h.Record(v)
+	}
+	want := []Bucket{
+		{Le: 63, Count: 2}, // the whole linear region is one bucket
+		{Le: 127, Count: 4},
+		{Le: 8191, Count: 5},
+		{Le: 1<<21 - 1, Count: 6},
+		{Le: math.MaxInt64, Count: 7},
+	}
+	got := h.CumBuckets()
+	if len(got) != len(want) {
+		t.Fatalf("CumBuckets %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("bucket %d = %+v, want %+v (all: %v)", i, got[i], want[i], got)
+		}
+	}
+}
+
+// Delta is the sentinel's windowed view: cumulative snapshot minus the
+// previous tick's snapshot, quantiled per window.
+func TestHistDelta(t *testing.T) {
+	h := NewHist()
+	for i := 1; i <= 100; i++ {
+		h.Record(int64(i) * 1000)
+	}
+	prev := *h
+	for i := 0; i < 50; i++ {
+		h.Record(5_000_000) // a burst lands: 5ms observations
+	}
+	d := h.Delta(&prev)
+	if d.Count() != 50 {
+		t.Fatalf("delta count = %d, want 50", d.Count())
+	}
+	if got := d.Percentile(0.99); got < 4_000_000 || got > 6_000_000 {
+		t.Fatalf("delta p99 = %d, want ~5ms — window must see only the burst", got)
+	}
+	if cum := h.Percentile(0.50); cum >= 4_000_000 {
+		t.Fatalf("cumulative p50 = %d — the cumulative view should dilute the burst (test setup broken)", cum)
+	}
+	// Min/Max are the bounds of the first and last occupied buckets.
+	b := BucketOf(5_000_000)
+	if d.Min() != bucketLower(b) || d.Max() != bucketUpper(b) {
+		t.Fatalf("delta bounds [%d,%d], want the burst bucket [%d,%d]", d.Min(), d.Max(), bucketLower(b), bucketUpper(b))
+	}
+	// Empty delta: same snapshot twice.
+	if e := h.Delta(h); e.Count() != 0 || e.Sum() != 0 || e.Min() != 0 || e.Max() != 0 {
+		t.Fatalf("self-delta not empty: %v", e.Summarize())
+	}
+	// Delta against an empty histogram equals the cumulative view.
+	if full := h.Delta(NewHist()); full.Count() != h.Count() || full.Sum() != h.Sum() {
+		t.Fatalf("delta vs empty = %v, want %v", full.Summarize(), h.Summarize())
+	}
+	// A bucket that appears to run backwards (a recorder racing the two
+	// snapshots) clamps to zero instead of underflowing.
+	ahead := *h
+	ahead.Record(1000)
+	if back := h.Delta(&ahead); back.Count() != 0 || back.Sum() != 0 {
+		t.Fatalf("backwards delta not clamped: %v", back.Summarize())
+	}
+}
+
+func TestHistAddBuckets(t *testing.T) {
+	var counts [NumBuckets]uint64
+	h := NewHist()
+	h.Record(10)
+	h.AddBuckets(&counts, 999, -5, 1<<40) // all-zero counts: nothing to add
+	if h.Count() != 1 || h.Sum() != 10 || h.Min() != 10 || h.Max() != 10 {
+		t.Fatalf("empty AddBuckets changed the histogram: %v", h.Summarize())
+	}
+	counts[BucketOf(3)] = 2
+	counts[BucketOf(7000)] = 1
+	h.AddBuckets(&counts, 3+3+7000, 3, 7000)
+	want := NewHist()
+	for _, v := range []int64{10, 3, 3, 7000} {
+		want.Record(v)
+	}
+	if h.Summarize() != want.Summarize() {
+		t.Fatalf("AddBuckets %v, want %v", h.Summarize(), want.Summarize())
 	}
 }

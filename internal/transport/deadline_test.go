@@ -21,7 +21,7 @@ func deadlineTestPaths(rtts ...int64) []*senderPath {
 	return paths
 }
 
-func deadlineSched(deadlineNanos int64, budget *wireDupBudget) *scheduler {
+func deadlineSched(deadlineNanos int64, budget *core.DupBudget) *scheduler {
 	return &scheduler{
 		name: SchedDeadline, canaryEvery: 16,
 		deadlineNanos: deadlineNanos, margin: 3, budget: budget,
@@ -30,7 +30,7 @@ func deadlineSched(deadlineNanos int64, budget *wireDupBudget) *scheduler {
 
 func TestWireDeadlineSafeStaysSingle(t *testing.T) {
 	paths := deadlineTestPaths(100_000, 200_000, 300_000)
-	s := deadlineSched(2_000_000, newWireDupBudget(1<<20, 64<<10)) // 2ms » 0.1ms
+	s := deadlineSched(2_000_000, core.NewDupBudget(1<<20, 64<<10)) // 2ms » 0.1ms
 	for i := 0; i < 20; i++ {
 		picks, _ := s.pick(paths, int64(i)*1000, 256)
 		if len(picks) != 1 || picks[0] != 0 {
@@ -40,14 +40,14 @@ func TestWireDeadlineSafeStaysSingle(t *testing.T) {
 	if s.dstats.Safe != 20 || s.dstats.Duplicated != 0 {
 		t.Fatalf("stats %+v", s.dstats)
 	}
-	if s.budget.spent != 0 {
+	if s.budget.SpentBytes() != 0 {
 		t.Fatal("safe picks spent budget")
 	}
 }
 
 func TestWireDeadlineEscalatesAndBillsBudget(t *testing.T) {
 	paths := deadlineTestPaths(500_000, 800_000)
-	s := deadlineSched(50_000, newWireDupBudget(1<<20, 64<<10)) // 50µs « 500µs RTT
+	s := deadlineSched(50_000, core.NewDupBudget(1<<20, 64<<10)) // 50µs « 500µs RTT
 	picks, _ := s.pick(paths, 0, 256)
 	if len(picks) != 2 || picks[0] != 0 || picks[1] != 1 {
 		t.Fatalf("at-risk pick %v, want [0 1]", picks)
@@ -55,14 +55,14 @@ func TestWireDeadlineEscalatesAndBillsBudget(t *testing.T) {
 	if s.dstats.AtRisk != 1 || s.dstats.Duplicated != 1 {
 		t.Fatalf("stats %+v", s.dstats)
 	}
-	if s.budget.spent != 256 {
-		t.Fatalf("budget spent %d, want the frame payload 256", s.budget.spent)
+	if s.budget.SpentBytes() != 256 {
+		t.Fatalf("budget spent %d, want the frame payload 256", s.budget.SpentBytes())
 	}
 }
 
 func TestWireDeadlineDeniesWithoutBudget(t *testing.T) {
 	paths := deadlineTestPaths(500_000, 800_000)
-	for _, budget := range []*wireDupBudget{nil, newWireDupBudget(0, 0)} {
+	for _, budget := range []*core.DupBudget{nil, core.NewDupBudget(0, 0)} {
 		s := deadlineSched(50_000, budget)
 		picks, _ := s.pick(paths, 0, 256)
 		if len(picks) != 1 {
@@ -78,35 +78,13 @@ func TestWireDeadlineUnsampledPathIsOptimistic(t *testing.T) {
 	// No RTT samples yet: estimate 0 means every deadline looks safe, so a
 	// cold sender never burns budget before acks teach it anything.
 	paths := deadlineTestPaths(0, 0)
-	s := deadlineSched(1, newWireDupBudget(1<<20, 64<<10))
+	s := deadlineSched(1, core.NewDupBudget(1<<20, 64<<10))
 	picks, _ := s.pick(paths, 0, 256)
 	if len(picks) != 1 {
 		t.Fatalf("cold paths escalated: %v", picks)
 	}
 	if s.dstats.Safe != 1 {
 		t.Fatalf("stats %+v", s.dstats)
-	}
-}
-
-func TestWireDupBudgetRefillAndFloor(t *testing.T) {
-	b := newWireDupBudget(1000, 100)
-	if !b.trySpend(0, 100) {
-		t.Fatal("burst spend denied")
-	}
-	if b.trySpend(0, 1) {
-		t.Fatal("empty bucket granted")
-	}
-	if !b.trySpend(1_000_000_000, 100) { // one second refills to burst
-		t.Fatal("refill failed")
-	}
-	if b.trySpend(500_000_000, 1) { // time moving backwards mints nothing
-		t.Fatal("backwards time minted tokens")
-	}
-	if b.tokens < 0 {
-		t.Fatalf("tokens negative: %v", b.tokens)
-	}
-	if w := newWireDupBudget(50, 0); w.burst != 1 {
-		t.Fatalf("burst floor %v, want 1", w.burst)
 	}
 }
 

@@ -222,7 +222,7 @@ func RunLoopback(cfg LoopbackConfig) (*LoopbackReport, error) {
 	for i := range payload {
 		payload[i] = byte(i)
 	}
-	start := nowNanos()
+	start := NowNanos()
 	deadlineNanos := int64(0)
 	if cfg.Duration > 0 {
 		deadlineNanos = start + cfg.Duration.Nanoseconds()
@@ -239,7 +239,7 @@ sendLoop:
 		if cfg.Packets > 0 && sent >= cfg.Packets {
 			break
 		}
-		if deadlineNanos > 0 && nowNanos() >= deadlineNanos {
+		if deadlineNanos > 0 && NowNanos() >= deadlineNanos {
 			break
 		}
 		if cfg.Stop != nil {
@@ -260,8 +260,8 @@ sendLoop:
 		stallUntil := int64(0)
 		for sent-(recv.delivered.Load()+recv.driver.gapSkipped.Load()) >= cfg.Window {
 			if stallUntil == 0 {
-				stallUntil = nowNanos() + (100 * time.Millisecond).Nanoseconds()
-			} else if nowNanos() >= stallUntil {
+				stallUntil = NowNanos() + (100 * time.Millisecond).Nanoseconds()
+			} else if NowNanos() >= stallUntil {
 				break
 			}
 			time.Sleep(200 * time.Microsecond) //lint:allow determinism wall-clock backpressure on a real wire
@@ -282,11 +282,11 @@ sendLoop:
 	// Closing early discards datagrams still queued in the kernel, so only
 	// stop once delivery has been quiet for several consecutive polls (a
 	// single quiet poll is routine on a loaded machine).
-	drainDeadline := nowNanos() + (2*time.Second +
+	drainDeadline := NowNanos() + (2*time.Second +
 		8*maxDuration(cfg.ReorderTimeout, 5*time.Millisecond)).Nanoseconds()
 	prev := ^uint64(0)
 	stable := 0
-	for nowNanos() < drainDeadline && stable < 5 {
+	for NowNanos() < drainDeadline && stable < 5 {
 		time.Sleep(20 * time.Millisecond) //lint:allow determinism drain polling on a real wire
 		st := recv.Stats()
 		settled := st.Delivered + st.Lost + st.DupDrops
@@ -304,7 +304,7 @@ sendLoop:
 		return nil, fmt.Errorf("transport: receiver close: %w", err)
 	}
 
-	elapsed := time.Duration(nowNanos() - start)
+	elapsed := time.Duration(NowNanos() - start)
 	ss := send.Stats()
 	rs := recv.Stats()
 	var wireDups uint64

@@ -132,7 +132,7 @@ func Listen(cfg ReceiverConfig) (*Receiver, error) {
 		})
 	}
 	r.driver = newReorderDriver(
-		func() sim.Time { return sim.Time(nowNanos()) },
+		func() sim.Time { return sim.Time(NowNanos()) },
 		cfg.ReorderTimeout, cfg.DedupWindow, r.deliver, r.onLost, cfg.Queue, cfg.Trace)
 	r.driver.start()
 	for _, p := range r.paths {
@@ -174,7 +174,7 @@ func (r *Receiver) closeConns() {
 
 // deliver runs on the reorder driver goroutine for each in-order release.
 func (r *Receiver) deliver(p *packet.Packet) {
-	now := nowNanos()
+	now := NowNanos()
 	if sp := r.cfg.Spans; sp != nil {
 		sp.Reorder.Record(now - int64(p.Done))
 		sp.E2E.Record(now - int64(p.Ingress))
@@ -187,16 +187,16 @@ func (r *Receiver) deliver(p *packet.Packet) {
 	// application once fn returns.
 	flowID, seq, pathID, pathSeq, done := p.FlowID, p.Seq, p.PathID, p.PathSeq, p.Done
 	if fn := r.cfg.Deliver; fn != nil {
-		t0 := nowNanos()
+		t0 := NowNanos()
 		fn(p)
 		if sp := r.cfg.Spans; sp != nil {
-			sp.Deliver.Record(nowNanos() - t0)
+			sp.Deliver.Record(NowNanos() - t0)
 		}
 	}
 	// The deliver event closes the timeline: Path/PathSeq name the
 	// admitted copy, A its arrival, B the pre-callback release time.
 	if tr := r.cfg.Trace; tr != nil && tr.Sampled(flowID, seq) {
-		tr.Emit(obs.WireEvent{Nanos: nowNanos(), Kind: obs.WireDeliver,
+		tr.Emit(obs.WireEvent{Nanos: NowNanos(), Kind: obs.WireDeliver,
 			Path: int32(pathID), FlowID: flowID, Seq: seq, PathSeq: pathSeq,
 			A: int64(done), B: now})
 	}
@@ -205,7 +205,7 @@ func (r *Receiver) deliver(p *packet.Packet) {
 func (r *Receiver) onLost(p *packet.Packet) {
 	r.lost.Add(1)
 	if tr := r.cfg.Trace; tr != nil && tr.Sampled(p.FlowID, p.Seq) {
-		tr.Emit(obs.WireEvent{Nanos: nowNanos(), Kind: obs.WireLost,
+		tr.Emit(obs.WireEvent{Nanos: NowNanos(), Kind: obs.WireLost,
 			Path: int32(p.PathID), FlowID: p.FlowID, Seq: p.Seq, PathSeq: p.PathSeq})
 	}
 	if fn := r.cfg.OnLost; fn != nil {
@@ -218,12 +218,12 @@ func (r *Receiver) readLoop(p *recvPath) {
 	defer r.wg.Done()
 	buf := make([]byte, HeaderLen+MaxPayload)
 	for {
-		t0 := nowNanos()
+		t0 := NowNanos()
 		n, src, err := p.conn.ReadFromUDP(buf)
 		if err != nil {
 			return // socket closed
 		}
-		now := nowNanos()
+		now := NowNanos()
 		if sp := r.cfg.Spans; sp != nil {
 			sp.SocketRead.Record(now - t0)
 		}
@@ -283,7 +283,7 @@ func (r *Receiver) readLoop(p *recvPath) {
 		if ackNow {
 			r.writeControl(p, ack, src)
 			if tr != nil {
-				tr.Emit(obs.WireEvent{Nanos: nowNanos(), Kind: obs.WireAckTx,
+				tr.Emit(obs.WireEvent{Nanos: NowNanos(), Kind: obs.WireAckTx,
 					Path: int32(p.id), A: int64(ack.Seq), B: int64(ack.PathSeq)})
 			}
 		}
@@ -362,7 +362,7 @@ func (r *Receiver) ackSweep() {
 				if pending {
 					r.writeControl(p, ack, src)
 					if tr := r.cfg.Trace; tr != nil {
-						tr.Emit(obs.WireEvent{Nanos: nowNanos(), Kind: obs.WireAckTx,
+						tr.Emit(obs.WireEvent{Nanos: NowNanos(), Kind: obs.WireAckTx,
 							Path: int32(p.id), A: int64(ack.Seq), B: int64(ack.PathSeq)})
 					}
 				}

@@ -1,6 +1,10 @@
 package transport
 
-import "mpdp/internal/obs"
+import (
+	"mpdp/internal/core"
+	"mpdp/internal/obs"
+	"mpdp/internal/sim"
+)
 
 // Sender-side path scheduling. The schedulers mirror the internal/core
 // policies on the signals a real wire provides — no lane telemetry, but
@@ -43,10 +47,11 @@ type scheduler struct {
 
 	// Deadline mode (SchedDeadline only). deadlineNanos is the per-packet
 	// wall-clock latency budget; margin multiplies the path's RTT jitter in
-	// the risk estimate; budget meters duplicated bytes.
+	// the risk estimate; budget meters duplicated bytes (core's token
+	// bucket, fed wall nanoseconds as its sim.Time).
 	deadlineNanos int64
 	margin        float64
-	budget        *wireDupBudget
+	budget        *core.DupBudget
 	dstats        WireDeadlineStats
 
 	next  int    // round-robin cursor
@@ -68,67 +73,6 @@ type WireDeadlineStats struct {
 	Denied       uint64 `json:"denied"` // duplication wanted but withheld
 	BudgetSpent  uint64 `json:"budget_spent_bytes"`
 	BudgetDenied uint64 `json:"budget_denied"`
-}
-
-// wireDupBudget is core.DupBudget re-expressed in wall nanoseconds: a
-// duplication-bytes token bucket refilled at rate bytes/sec up to burst.
-// Guarded by the sender lock like the rest of the scheduler state.
-type wireDupBudget struct {
-	rate  float64 // bytes per second
-	burst float64 // bucket capacity in bytes
-
-	tokens    float64
-	lastNanos int64
-	started   bool
-
-	spent  uint64
-	denied uint64
-}
-
-func newWireDupBudget(bytesPerSec, burst float64) *wireDupBudget {
-	if !(bytesPerSec > 0) {
-		bytesPerSec = 0
-	}
-	if !(burst > 0) {
-		burst = 0
-	}
-	if burst == 0 && bytesPerSec > 0 {
-		burst = bytesPerSec / 100 // 10 ms worth, mirroring core.NewDupBudget
-		if burst < 1 {
-			burst = 1
-		}
-	}
-	return &wireDupBudget{rate: bytesPerSec, burst: burst}
-}
-
-// trySpend withdraws size bytes if available at wall time nowNanos.
-// Tokens never go negative: a spend either fits or is denied.
-func (b *wireDupBudget) trySpend(nowNanos int64, size int) bool {
-	if b.rate == 0 && b.burst == 0 {
-		b.denied++
-		return false
-	}
-	if !b.started {
-		b.started = true
-		b.lastNanos = nowNanos
-		b.tokens = b.burst
-	} else if nowNanos > b.lastNanos {
-		b.tokens += b.rate * float64(nowNanos-b.lastNanos) / 1e9
-		b.lastNanos = nowNanos
-	}
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
-	if size < 0 {
-		size = 0
-	}
-	if float64(size) > b.tokens {
-		b.denied++
-		return false
-	}
-	b.tokens -= float64(size)
-	b.spent += uint64(size)
-	return true
 }
 
 // pathView is what the scheduler reads per path: health eligibility and
@@ -200,7 +144,7 @@ func (s *scheduler) pick(paths []*senderPath, nowNanos int64, size int) (picks [
 			if second < 0 {
 				s.dstats.Denied++
 				s.verdict |= obs.WireSchedDenied
-			} else if s.budget == nil || !s.budget.trySpend(nowNanos, size) {
+			} else if s.budget == nil || !s.budget.TrySpend(sim.Time(nowNanos), size) {
 				s.dstats.Denied++
 				s.verdict |= obs.WireSchedDenied
 			} else {

@@ -161,7 +161,7 @@ func Dial(cfg SenderConfig) (*Sender, error) {
 		s.sched.deadlineNanos = deadline.Nanoseconds()
 		s.sched.margin = margin
 		if cfg.DupBudgetBytesPerSec > 0 || cfg.DupBudgetBurst > 0 {
-			s.sched.budget = newWireDupBudget(cfg.DupBudgetBytesPerSec, cfg.DupBudgetBurst)
+			s.sched.budget = core.NewDupBudget(cfg.DupBudgetBytesPerSec, cfg.DupBudgetBurst)
 		}
 	}
 	for i, pc := range cfg.Paths {
@@ -225,7 +225,7 @@ func (s *Sender) Send(flowID uint64, payload []byte) (uint64, error) {
 	if len(payload) > MaxPayload {
 		return 0, ErrTooLarge
 	}
-	now := nowNanos()
+	now := NowNanos()
 
 	s.mu.Lock()
 	s.sinceMnt++
@@ -309,14 +309,14 @@ func (s *Sender) Send(flowID uint64, payload []byte) (uint64, error) {
 // frames whose (flow, seq) is in the wire trace's sample: each copy that
 // actually reaches the socket emits a tx event stamped post-write.
 func (s *Sender) writeFrame(p *senderPath, h Header, payload []byte, sampled bool) error {
-	t0 := nowNanos()
+	t0 := NowNanos()
 	buf, err := AppendFrame(p.scratch[:0], &h, payload)
 	if err != nil {
 		return err
 	}
 	p.scratch = buf[:0]
 	if sp := s.cfg.Spans; sp != nil {
-		sp.Encode.Record(nowNanos() - t0)
+		sp.Encode.Record(NowNanos() - t0)
 	}
 
 	writes := 1
@@ -367,7 +367,7 @@ func (s *Sender) traceTx(h Header, sampled bool) {
 	if !sampled {
 		return
 	}
-	txNow := nowNanos()
+	txNow := NowNanos()
 	s.cfg.Trace.Emit(obs.WireEvent{Nanos: txNow, Kind: obs.WireTx,
 		Path: int32(h.PathID), FlowID: h.FlowID, Seq: h.Seq, PathSeq: h.PathSeq,
 		A: int64(h.Flags)})
@@ -378,15 +378,15 @@ func (s *Sender) traceTx(h Header, sampled bool) {
 
 // write performs the socket write and feeds the result to health.
 func (s *Sender) write(p *senderPath, frame []byte) error {
-	t0 := nowNanos()
+	t0 := NowNanos()
 	_, err := p.conn.Write(frame)
 	if sp := s.cfg.Spans; sp != nil {
-		sp.SocketWrite.Record(nowNanos() - t0)
+		sp.SocketWrite.Record(NowNanos() - t0)
 	}
 	if err != nil {
 		s.mu.Lock()
 		p.refused++
-		p.health.ObserveSendRefused(sim.Time(nowNanos()))
+		p.health.ObserveSendRefused(sim.Time(NowNanos()))
 		s.mu.Unlock()
 		return err
 	}
@@ -412,7 +412,7 @@ func (s *Sender) readAcks(p *senderPath) {
 			s.handleAck(p, h)
 		case h.Flags&FlagEcho != 0:
 			if fn := s.cfg.OnEcho; fn != nil {
-				fn(int(p.id), h, time.Duration(nowNanos()-h.SendNanos))
+				fn(int(p.id), h, time.Duration(NowNanos()-h.SendNanos))
 			}
 		}
 	}
@@ -423,7 +423,7 @@ func (s *Sender) readAcks(p *senderPath) {
 // seen on this path, Seq = total frames it has received on this path, and
 // SendNanos echoing the newest data frame's send timestamp (RTT sample).
 func (s *Sender) handleAck(p *senderPath, h Header) {
-	now := nowNanos()
+	now := NowNanos()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	high, recv := h.PathSeq, h.Seq
@@ -518,8 +518,8 @@ func (s *Sender) Stats() SenderStats {
 	if s.sched.name == SchedDeadline {
 		d := s.sched.dstats
 		if b := s.sched.budget; b != nil {
-			d.BudgetSpent = b.spent
-			d.BudgetDenied = b.denied
+			d.BudgetSpent = b.SpentBytes()
+			d.BudgetDenied = b.Denied()
 		}
 		st.Deadline = &d
 	}
@@ -597,8 +597,8 @@ func (s *Sender) RegisterMetrics(reg *live.Registry) {
 			defer s.mu.Unlock()
 			d := s.sched.dstats
 			if b := s.sched.budget; b != nil {
-				d.BudgetSpent = b.spent
-				d.BudgetDenied = b.denied
+				d.BudgetSpent = b.SpentBytes()
+				d.BudgetDenied = b.Denied()
 			}
 			return f(d)
 		}

@@ -111,8 +111,7 @@ func (s *Spans) StageSnapshot() []live.StageSpan {
 	}
 	var out []live.StageSpan
 	for _, st := range s.stages() {
-		snap := st.h.Snapshot()
-		out = append(out, live.StageSpan{Stage: st.name, Latency: snap.Summary()})
+		out = append(out, live.StageSpan{Stage: st.name, Latency: st.h.Snapshot().Summarize()})
 	}
 	return out
 }

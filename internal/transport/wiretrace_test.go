@@ -245,7 +245,7 @@ func ackPath() (*Sender, *senderPath) {
 // later clock and inflate the EWMA.
 func TestHandleAckDuplicateNeverInflatesRTT(t *testing.T) {
 	s, p := ackPath()
-	echo := nowNanos() - time.Millisecond.Nanoseconds()
+	echo := NowNanos() - time.Millisecond.Nanoseconds()
 	ack := Header{Flags: FlagAck, Seq: 10, PathSeq: 10, SendNanos: echo}
 	s.handleAck(p, ack)
 	if p.rttNanos <= 0 {
@@ -271,7 +271,7 @@ func TestHandleAckDuplicateNeverInflatesRTT(t *testing.T) {
 
 func TestHandleAckReorderedAndSkewed(t *testing.T) {
 	s, p := ackPath()
-	now := nowNanos()
+	now := NowNanos()
 	s.handleAck(p, Header{Flags: FlagAck, Seq: 10, PathSeq: 10,
 		SendNanos: now - 2*time.Millisecond.Nanoseconds()})
 	first := p.rttNanos
@@ -300,7 +300,7 @@ func TestHandleAckReorderedAndSkewed(t *testing.T) {
 	// A clock-skewed echo from the future must never produce a negative or
 	// zero sample.
 	s.handleAck(p, Header{Flags: FlagAck, Seq: 12, PathSeq: 12,
-		SendNanos: nowNanos() + time.Second.Nanoseconds()})
+		SendNanos: NowNanos() + time.Second.Nanoseconds()})
 	if p.rttNanos != first {
 		t.Fatalf("future echo moved the RTT EWMA: %d -> %d", first, p.rttNanos)
 	}
@@ -315,7 +315,7 @@ func TestHandleAckEmitsWireEvent(t *testing.T) {
 	tr := obs.NewWireRecorder(obs.WireSender, 16, 1)
 	s, p := ackPath()
 	s.cfg.Trace = tr
-	echo := nowNanos() - time.Millisecond.Nanoseconds()
+	echo := NowNanos() - time.Millisecond.Nanoseconds()
 	s.handleAck(p, Header{Flags: FlagAck, Seq: 10, PathSeq: 10, SendNanos: echo})
 	s.handleAck(p, Header{Flags: FlagAck, Seq: 10, PathSeq: 10, SendNanos: echo}) // duplicate
 	evs := tr.Events()
@@ -349,7 +349,7 @@ func TestSchedulerVerdictBits(t *testing.T) {
 
 	// With a funded budget the duplicate is granted.
 	sch = &scheduler{name: SchedDeadline, deadlineNanos: 100, margin: 1,
-		budget: newWireDupBudget(1e6, 1e6)}
+		budget: core.NewDupBudget(1e6, 1e6)}
 	picks, _ := sch.pick(paths, 0, 100)
 	if sch.verdict != obs.WireSchedAtRisk|obs.WireSchedDup {
 		t.Fatalf("verdict = %b, want at-risk|dup", sch.verdict)
