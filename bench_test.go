@@ -98,6 +98,7 @@ func BenchmarkDataPlaneThroughput(b *testing.B) {
 		Size:    workload.IMIX{Rng: rng.Split()},
 		Flows:   64,
 		Rng:     rng.Split(),
+		Packets: dp.Packets(), // the plane returns finished packets here; the generator reuses them
 	})
 	b.ReportAllocs()
 	b.ResetTimer()

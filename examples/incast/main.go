@@ -53,8 +53,8 @@ func run(name string, policy core.Policy, seed uint64) {
 func main() {
 	fmt.Println("32-way incast, 20KB responses, 4-path data plane, noisy neighbors:")
 	fmt.Println()
-	run("rss", core.RSSHash{}, 5)
-	run("jsq", core.JSQ{}, 5)
+	run("rss", &core.RSSHash{}, 5)
+	run("jsq", &core.JSQ{}, 5)
 	run("mpdp", core.NewMPDP(core.DefaultMPDPConfig()), 5)
 	fmt.Println()
 	fmt.Println("a query is as slow as its slowest response: cutting the per-response")

@@ -43,6 +43,7 @@ func run(name string, numPaths int, policy core.Policy) {
 		Size:    workload.IMIX{Rng: rng.Split()},
 		Flows:   48,
 		Rng:     rng.Split(),
+		Packets: dp.Packets(), // the plane returns finished packets here; the generator reuses them
 	})
 
 	const horizon = 150 * sim.Millisecond
@@ -62,8 +63,8 @@ func run(name string, numPaths int, policy core.Policy) {
 func main() {
 	fmt.Println("identical workload, 8x noisy neighbors on every core:")
 	fmt.Println()
-	run("single-path (classic)", 1, core.SinglePath{})
-	run("4-path RSS (static)", 4, core.RSSHash{})
+	run("single-path (classic)", 1, &core.SinglePath{})
+	run("4-path RSS (static)", 4, &core.RSSHash{})
 	run("4-path MPDP", 4, core.NewMPDP(core.DefaultMPDPConfig()))
 	fmt.Println()
 	fmt.Println("the last mile matters: the median is fine everywhere; only the")

@@ -42,6 +42,7 @@ func main() {
 		Size:    workload.IMIX{Rng: rng.Split()},
 		Flows:   64,
 		Rng:     rng.Split(),
+		Packets: dp.Packets(), // the plane returns finished packets here; the generator reuses them
 	})
 
 	const horizon = 200 * sim.Millisecond

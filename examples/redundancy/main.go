@@ -37,6 +37,7 @@ func run(policy core.Policy, util float64, seed uint64) (p99, p999 float64, dup 
 		Size:    workload.IMIX{Rng: rng.Split()},
 		Flows:   64,
 		Rng:     rng.Split(),
+		Packets: dp.Packets(), // the plane returns finished packets here; the generator reuses them
 	})
 
 	const horizon = 100 * sim.Millisecond
@@ -59,7 +60,7 @@ func main() {
 		return core.NewMPDP(cfg)
 	}
 	budgeted := func() core.Policy { return core.NewMPDP(core.DefaultMPDPConfig()) }
-	dupAll := func() core.Policy { return core.Redundant{K: 2} }
+	dupAll := func() core.Policy { return &core.Redundant{K: 2} }
 
 	for _, util := range []float64{0.3, 0.8} {
 		fmt.Printf("offered load %.0f%% of aggregate capacity, heavy interference:\n", util*100)

@@ -83,6 +83,12 @@ type Config struct {
 	// defaults; Health.Disable turns it off).
 	Health HealthConfig
 
+	// Packets is the free list the plane recycles packets through (default:
+	// one of its own). Feed the plane from the same pool — DataPlane.Packets
+	// hands it to generators — and steady-state traffic allocates no packets;
+	// packets from anywhere else pass through untouched.
+	Packets *packet.Pool
+
 	// Trace, when non-nil, receives the engine's flight-recorder event
 	// stream (see internal/obs): per-packet lifecycle events plus path
 	// health transitions. Sinks observe only — attaching one changes no
@@ -94,7 +100,9 @@ type Config struct {
 // Observer receives the engine's per-packet lifecycle events: exactly one
 // of Delivered/Lost/Consumed fires per distinct ingress packet once its
 // fate is decided (duplicate copies are folded into their original). The
-// invariant checker attaches here; observers must not mutate packets.
+// invariant checker attaches here; observers must not mutate packets, and
+// must not keep them: the engine owns a packet from Ingress until its
+// terminal callback returns, then recycles it (see DESIGN.md §5).
 type Observer interface {
 	PacketIngress(p *packet.Packet)
 	PacketDelivered(p *packet.Packet)
@@ -111,10 +119,12 @@ type DataPlane struct {
 	policy  Policy
 	reorder *Reorder
 	sink    DeliverFunc
+	pool    *packet.Pool
 
-	idGen  uint64
-	seqGen map[uint64]uint64 // FlowID -> next ingress sequence
-	dups   map[uint64]*dupGroup
+	idGen   uint64
+	seqGen  map[uint64]uint64 // FlowID -> next ingress sequence
+	dups    map[uint64]*dupGroup
+	dupFree []*dupGroup // finished groups, recycled by the next duplication
 
 	observer Observer
 	trace    obs.Sink
@@ -126,16 +136,52 @@ type DataPlane struct {
 	maintainCount uint64
 	canaryCount   uint64
 	numProbing    int
+	mirror        [2]int // scratch for a canary-mirrored pick
 	fracBuf       []float64
 
 	metrics *Metrics
 }
 
-// dupGroup tracks the outstanding copies of one duplicated packet.
+// dupGroup tracks the outstanding copies of one duplicated packet. copies
+// holds only copies still in flight: a slot is nilled the moment its copy
+// meets its fate, because that packet is recycled and the pointer would
+// soon name an unrelated one. Records (and their copies arrays) are reused
+// through DataPlane.dupFree.
 type dupGroup struct {
 	remaining int
 	won       bool
 	copies    []*packet.Packet
+}
+
+// forget removes p from the group's in-flight set.
+func (g *dupGroup) forget(p *packet.Packet) {
+	for j, c := range g.copies {
+		if c == p {
+			g.copies[j] = nil
+			return
+		}
+	}
+}
+
+// newGroup returns a recycled (or new) group expecting n copies.
+func (dp *DataPlane) newGroup(n int) *dupGroup {
+	if k := len(dp.dupFree); k > 0 {
+		g := dp.dupFree[k-1]
+		dp.dupFree = dp.dupFree[:k-1]
+		g.remaining, g.won, g.copies = n, false, g.copies[:0]
+		return g
+	}
+	return &dupGroup{remaining: n, copies: make([]*packet.Packet, 0, n)}
+}
+
+// settle decrements the group's outstanding count and retires the group
+// once every copy is accounted for.
+func (dp *DataPlane) settle(origID uint64, g *dupGroup) {
+	g.remaining--
+	if g.remaining <= 0 {
+		delete(dp.dups, origID)
+		dp.dupFree = append(dp.dupFree, g)
+	}
 }
 
 // New builds a data plane on simulator s delivering in-order packets to
@@ -162,6 +208,9 @@ func New(s *sim.Simulator, cfg Config, sink DeliverFunc) *DataPlane {
 	if cfg.TelemetryWindow == 0 {
 		cfg.TelemetryWindow = 5 * sim.Millisecond
 	}
+	if cfg.Packets == nil {
+		cfg.Packets = new(packet.Pool)
+	}
 
 	health := cfg.Health
 	health.fillDefaults()
@@ -171,6 +220,7 @@ func New(s *sim.Simulator, cfg Config, sink DeliverFunc) *DataPlane {
 		cfg:       cfg,
 		policy:    cfg.Policy,
 		sink:      sink,
+		pool:      cfg.Packets,
 		trace:     cfg.Trace,
 		seqGen:    make(map[uint64]uint64),
 		dups:      make(map[uint64]*dupGroup),
@@ -179,6 +229,7 @@ func New(s *sim.Simulator, cfg Config, sink DeliverFunc) *DataPlane {
 	}
 	dp.reorder = NewReorder(s, cfg.ReorderTimeout, dp.deliver)
 	dp.reorder.trace = cfg.Trace
+	dp.reorder.pool = cfg.Packets
 	dp.reorder.OnLost(func(p *packet.Packet) {
 		// A straggler the buffer gave up on: conclusively lost.
 		dp.metrics.drops[packet.DropReorder]++
@@ -195,6 +246,7 @@ func New(s *sim.Simulator, cfg Config, sink DeliverFunc) *DataPlane {
 			Chain:            cfg.ChainFactory(i),
 			DispatchOverhead: cfg.DispatchOverhead,
 			JitterSigma:      cfg.JitterSigma,
+			Packets:          cfg.Packets,
 			StageHook:        dp.metrics.stageHook(cfg.StageTiming),
 		}
 		if laneCfg.QueueCap == 0 {
@@ -232,6 +284,10 @@ func (dp *DataPlane) Sim() *sim.Simulator { return dp.sim }
 
 // Paths returns the path states (shared; read-only for callers).
 func (dp *DataPlane) Paths() []*PathState { return dp.paths }
+
+// Packets returns the pool the plane recycles packets through: mint ingress
+// packets from it (workload.TrafficConfig.Packets) and they are reused.
+func (dp *DataPlane) Packets() *packet.Pool { return dp.pool }
 
 // Metrics returns the accumulated measurements.
 func (dp *DataPlane) Metrics() *Metrics { return dp.metrics }
@@ -345,7 +401,8 @@ func (dp *DataPlane) Ingress(p *packet.Packet) {
 		dp.canaryCount++
 		if dp.canaryCount%uint64(dp.healthCfg.CanaryEvery) == 0 {
 			if pi := dp.nextProbing(); pi >= 0 && pi != idxs[0] {
-				idxs = []int{idxs[0], pi}
+				dp.mirror = [2]int{idxs[0], pi}
+				idxs = dp.mirror[:]
 				dp.metrics.canaries++
 				canary = 1
 			}
@@ -359,25 +416,24 @@ func (dp *DataPlane) Ingress(p *packet.Packet) {
 	}
 
 	// Duplication: the original plus clones, grouped for first-wins.
-	group := &dupGroup{remaining: len(idxs)}
+	group := dp.newGroup(len(idxs))
 	dp.dups[p.OrigID] = group
-	copies := make([]*packet.Packet, len(idxs))
-	copies[0] = p
+	group.copies = append(group.copies, p)
 	p.IsDup = true
 	for j := 1; j < len(idxs); j++ {
 		dp.idGen++
-		copies[j] = p.Clone(dp.idGen)
-	}
-	group.copies = copies
-	for j := 1; j < len(copies); j++ {
+		c := dp.pool.Clone(p, dp.idGen)
+		group.copies = append(group.copies, c)
 		// Every extra copy — hedged, selective, or canary mirror — bills its
 		// bytes to the shared duplication-cost axis.
-		dp.metrics.dupBytes += uint64(copies[j].Size())
-		dp.emit(obs.KindDupSent, copies[j], int32(idxs[j]), 0, 0)
+		dp.metrics.dupBytes += uint64(c.Size())
+		dp.emit(obs.KindDupSent, c, int32(idxs[j]), 0, 0)
 	}
+	// The group can only retire (and send can only recycle a refused copy)
+	// after the last copy is sent, so group.copies[j] is live when read.
 	for j, i := range idxs {
 		dp.metrics.dupCopies++
-		dp.send(copies[j], i, group)
+		dp.send(group.copies[j], i, group)
 	}
 	// The first copy counts as the packet itself, not overhead.
 	dp.metrics.dupCopies--
@@ -415,19 +471,42 @@ func (dp *DataPlane) send(p *packet.Packet, i int, group *dupGroup) {
 }
 
 // copyGone accounts for a copy that will never reach delivery. When it was
-// the packet's last chance, the packet is conclusively lost.
+// the packet's last chance, the packet is conclusively lost. Either way
+// this is the copy's terminal point: it is recycled here.
 func (dp *DataPlane) copyGone(p *packet.Packet, group *dupGroup) {
 	if group == nil {
 		dp.lost(p)
-		return
-	}
-	group.remaining--
-	if group.remaining <= 0 {
-		if !group.won {
+	} else {
+		group.forget(p)
+		if group.remaining <= 1 && !group.won {
 			dp.lost(p)
 		}
-		delete(dp.dups, p.OrigID)
+		dp.settle(p.OrigID, group)
 	}
+	dp.pool.Put(p)
+}
+
+// claim settles a completed copy against its dup group: the first copy to
+// complete wins and cancels its queued siblings; a later one loses and ends
+// here. It reports whether p goes on (always, for an unduplicated packet).
+func (dp *DataPlane) claim(p *packet.Packet, group *dupGroup) bool {
+	if group == nil {
+		return true
+	}
+	group.forget(p)
+	if group.won {
+		// A sibling already delivered; this copy loses.
+		p.Dropped = packet.DropCancelled
+		dp.metrics.drops[packet.DropCancelled]++
+		dp.emit(obs.KindDrop, p, int32(p.PathID), int64(packet.DropCancelled), 0)
+		dp.settle(p.OrigID, group)
+		dp.pool.Put(p)
+		return false
+	}
+	group.won = true
+	dp.cancelSiblings(group)
+	dp.settle(p.OrigID, group)
+	return true
 }
 
 // lost finalizes a packet whose every copy is gone: the reorder stage is
@@ -492,24 +571,8 @@ func (dp *DataPlane) onLaneDone(p *packet.Packet, verdict packet.Verdict) {
 
 	switch verdict {
 	case packet.Pass:
-		if group != nil {
-			if group.won {
-				// A sibling already delivered; this copy loses.
-				p.Dropped = packet.DropCancelled
-				dp.metrics.drops[packet.DropCancelled]++
-				dp.emit(obs.KindDrop, p, int32(p.PathID), int64(packet.DropCancelled), 0)
-				group.remaining--
-				if group.remaining <= 0 {
-					delete(dp.dups, p.OrigID)
-				}
-				return
-			}
-			group.won = true
-			group.remaining--
-			dp.cancelSiblings(p, group)
-			if group.remaining <= 0 {
-				delete(dp.dups, p.OrigID)
-			}
+		if !dp.claim(p, group) {
+			return
 		}
 		if dp.cfg.DisableReorder {
 			p.Delivered = dp.sim.Now()
@@ -525,23 +588,8 @@ func (dp *DataPlane) onLaneDone(p *packet.Packet, verdict packet.Verdict) {
 		// Terminated locally (e.g. tunnel endpoint); counts as completed
 		// work but exits the pipeline here — successors must not wait.
 		// First consume wins its dup group so the packet counts once.
-		if group != nil {
-			if group.won {
-				p.Dropped = packet.DropCancelled
-				dp.metrics.drops[packet.DropCancelled]++
-				dp.emit(obs.KindDrop, p, int32(p.PathID), int64(packet.DropCancelled), 0)
-				group.remaining--
-				if group.remaining <= 0 {
-					delete(dp.dups, p.OrigID)
-				}
-				return
-			}
-			group.won = true
-			group.remaining--
-			dp.cancelSiblings(p, group)
-			if group.remaining <= 0 {
-				delete(dp.dups, p.OrigID)
-			}
+		if !dp.claim(p, group) {
+			return
 		}
 		dp.metrics.consumed++
 		dp.punch(p)
@@ -549,37 +597,40 @@ func (dp *DataPlane) onLaneDone(p *packet.Packet, verdict packet.Verdict) {
 		if dp.observer != nil {
 			dp.observer.PacketConsumed(p)
 		}
+		dp.pool.Put(p)
 	}
 }
 
 // cancelSiblings cancels the still-queued twins of a winning copy. A copy
 // cancelled while queued is discarded by its lane without a completion
-// callback, so its group slot is released here.
-func (dp *DataPlane) cancelSiblings(winner *packet.Packet, group *dupGroup) {
-	for _, c := range group.copies {
-		if c == winner || c.Cancelled {
+// callback (the lane recycles it when it reaches the head), so its group
+// slot is released here.
+func (dp *DataPlane) cancelSiblings(group *dupGroup) {
+	for j, c := range group.copies {
+		if c == nil {
+			continue // already met its fate, or the winner (forgotten by claim)
+		}
+		ps := dp.paths[c.PathID]
+		// A copy on a probing path is a canary: let it run to completion
+		// so the probe gathers its evidence (it costs nothing — the
+		// group is already won).
+		if ps.health.state == HealthProbing {
 			continue
 		}
-		if c.PathID >= 0 && c.PathID < len(dp.paths) {
-			// A copy on a probing path is a canary: let it run to completion
-			// so the probe gathers its evidence (it costs nothing — the
-			// group is already won).
-			if dp.paths[c.PathID].health.state == HealthProbing {
-				continue
-			}
-			if dp.paths[c.PathID].Lane.CancelQueued(c.ID) {
-				// Discarded in-queue without a completion callback, so its
-				// in-flight slot is released here too.
-				dp.paths[c.PathID].health.inflight--
-				dp.metrics.dupCancelled++
-				dp.emit(obs.KindDupCancel, c, int32(c.PathID), 0, 0)
-				group.remaining--
-			}
+		if ps.Lane.CancelQueued(c.ID) {
+			// Discarded in-queue without a completion callback, so its
+			// in-flight slot is released here too.
+			ps.health.inflight--
+			dp.metrics.dupCancelled++
+			dp.emit(obs.KindDupCancel, c, int32(c.PathID), 0, 0)
+			group.copies[j] = nil
+			group.remaining--
 		}
 	}
 }
 
-// deliver is the terminal stage: record metrics and hand to the sink.
+// deliver is the terminal stage: record metrics, hand to the sink, and —
+// once the sink has returned — recycle the packet.
 func (dp *DataPlane) deliver(p *packet.Packet) {
 	dp.metrics.recordDelivery(p)
 	dp.emit(obs.KindDeliver, p, int32(p.PathID), 0, 0)
@@ -589,6 +640,7 @@ func (dp *DataPlane) deliver(p *packet.Packet) {
 	if dp.sink != nil {
 		dp.sink(p)
 	}
+	dp.pool.Put(p)
 }
 
 // Flush ends a measurement run: anything still held by a failed lane is

@@ -38,7 +38,7 @@ func inject(dp *DataPlane, pkts, nFlows int, spacing sim.Duration) {
 func TestEngineDeliversAllSinglePath(t *testing.T) {
 	s := sim.New()
 	delivered := 0
-	dp := New(s, engineConfig(1, SinglePath{}), func(p *packet.Packet) { delivered++ })
+	dp := New(s, engineConfig(1, &SinglePath{}), func(p *packet.Packet) { delivered++ })
 	inject(dp, 100, 4, 2*sim.Microsecond)
 	if delivered != 100 {
 		t.Fatalf("delivered %d/100", delivered)
@@ -51,9 +51,9 @@ func TestEngineDeliversAllSinglePath(t *testing.T) {
 
 func TestEngineInOrderPerFlowForAllPolicies(t *testing.T) {
 	policies := []Policy{
-		SinglePath{}, RSSHash{}, &RoundRobin{}, &RandomPick{Rng: xrand.New(1)},
-		JSQ{}, &PowerOfTwo{Rng: xrand.New(2)},
-		NewFlowlet(500 * sim.Microsecond), Redundant{K: 2},
+		&SinglePath{}, &RSSHash{}, &RoundRobin{}, &RandomPick{Rng: xrand.New(1)},
+		&JSQ{}, &PowerOfTwo{Rng: xrand.New(2)},
+		NewFlowlet(500 * sim.Microsecond), &Redundant{K: 2},
 		NewMPDP(DefaultMPDPConfig()),
 	}
 	for _, pol := range policies {
@@ -86,7 +86,7 @@ func TestEngineInOrderPerFlowForAllPolicies(t *testing.T) {
 func TestEngineDuplicationDeliversOncePerPacket(t *testing.T) {
 	s := sim.New()
 	seen := make(map[uint64]int)
-	dp := New(s, engineConfig(4, Redundant{K: 2}), func(p *packet.Packet) { seen[p.OrigID]++ })
+	dp := New(s, engineConfig(4, &Redundant{K: 2}), func(p *packet.Packet) { seen[p.OrigID]++ })
 	inject(dp, 200, 4, 2*sim.Microsecond)
 	m := dp.Metrics()
 	if m.Delivered() != 200 {
@@ -118,7 +118,7 @@ func TestEngineDuplicationCancelsQueuedLosers(t *testing.T) {
 			}
 			return passChain(20 * sim.Microsecond)
 		},
-		Policy:   Redundant{K: 2},
+		Policy:   &Redundant{K: 2},
 		QueueCap: 512,
 		Seed:     1,
 	}
@@ -135,7 +135,7 @@ func TestEngineDuplicationCancelsQueuedLosers(t *testing.T) {
 
 func TestEngineTailDropsUnderOverload(t *testing.T) {
 	s := sim.New()
-	cfg := engineConfig(1, SinglePath{})
+	cfg := engineConfig(1, &SinglePath{})
 	cfg.QueueCap = 8
 	dp := New(s, cfg, nil)
 	// 1µs service, arrivals every 100ns: queue must overflow.
@@ -164,7 +164,7 @@ func TestEnginePolicyDropAccounting(t *testing.T) {
 	cfg := Config{
 		NumPaths:     1,
 		ChainFactory: func(i int) *nf.Chain { return denyAll },
-		Policy:       SinglePath{},
+		Policy:       &SinglePath{},
 		Seed:         1,
 	}
 	dp := New(s, cfg, nil)
@@ -252,7 +252,7 @@ func TestEngineReorderMasksSpraying(t *testing.T) {
 func TestEngineLatencyComponentsConsistent(t *testing.T) {
 	s := sim.New()
 	var pkts []*packet.Packet
-	dp := New(s, engineConfig(2, JSQ{}), func(p *packet.Packet) { pkts = append(pkts, p) })
+	dp := New(s, engineConfig(2, &JSQ{}), func(p *packet.Packet) { pkts = append(pkts, p) })
 	inject(dp, 100, 4, 500*sim.Nanosecond)
 	for _, p := range pkts {
 		sum := p.QueueWait() + p.ServiceTime() + p.ReorderWait() + (p.Enqueued - p.Ingress)
@@ -290,7 +290,7 @@ func TestEngineDeterministicAcrossRuns(t *testing.T) {
 
 func TestEngineTimelineRecording(t *testing.T) {
 	s := sim.New()
-	cfg := engineConfig(2, JSQ{})
+	cfg := engineConfig(2, &JSQ{})
 	cfg.TimelineWindow = 10 * sim.Microsecond
 	dp := New(s, cfg, nil)
 	inject(dp, 100, 4, sim.Microsecond)
@@ -305,7 +305,7 @@ func TestEngineTimelineRecording(t *testing.T) {
 func TestEngineInterferenceRaisesTail(t *testing.T) {
 	run := func(interfere bool) int64 {
 		s := sim.New()
-		cfg := engineConfig(1, SinglePath{})
+		cfg := engineConfig(1, &SinglePath{})
 		cfg.JitterSigma = 0.1
 		if interfere {
 			cfg.Interference = vnet.InterferenceConfig{
@@ -357,7 +357,7 @@ func TestEngineMultipathBeatsSinglePathUnderInterference(t *testing.T) {
 		s.RunUntil(21 * sim.Millisecond)
 		return dp.Metrics().Latency.Percentile(0.99)
 	}
-	single := run(1, SinglePath{})
+	single := run(1, &SinglePath{})
 	mpdp := run(4, NewMPDP(DefaultMPDPConfig()))
 	if mpdp >= single {
 		t.Fatalf("MPDP p99 %d not below single-path p99 %d", mpdp, single)
@@ -366,7 +366,7 @@ func TestEngineMultipathBeatsSinglePathUnderInterference(t *testing.T) {
 
 func TestEngineConfigValidation(t *testing.T) {
 	s := sim.New()
-	base := engineConfig(1, SinglePath{})
+	base := engineConfig(1, &SinglePath{})
 	cases := map[string]func(){
 		"nil-sim":   func() { New(nil, base, nil) },
 		"zero-path": func() { c := base; c.NumPaths = 0; New(s, c, nil) },
@@ -425,7 +425,7 @@ func (p policyFunc) Pick(now sim.Time, pk *packet.Packet, paths []*PathState) []
 
 func TestEngineGoodputAccounting(t *testing.T) {
 	s := sim.New()
-	dp := New(s, engineConfig(2, JSQ{}), nil)
+	dp := New(s, engineConfig(2, &JSQ{}), nil)
 	inject(dp, 100, 4, sim.Microsecond)
 	m := dp.Metrics()
 	if m.DeliveredBytes() == 0 || m.OfferedBytes() == 0 {
@@ -443,7 +443,7 @@ func TestEngineHolePunchOnTailDrop(t *testing.T) {
 	// Queue-full drops must not stall the flow's successors for the
 	// reorder timeout: the engine punches holes synchronously.
 	s := sim.New()
-	cfg := engineConfig(1, SinglePath{})
+	cfg := engineConfig(1, &SinglePath{})
 	cfg.QueueCap = 4
 	cfg.ReorderTimeout = 10 * sim.Second // a stall would be obvious
 	var worst sim.Duration
@@ -469,7 +469,7 @@ func TestEngineHolePunchOnTailDrop(t *testing.T) {
 
 func TestEngineDupGroupsDrainToEmpty(t *testing.T) {
 	s := sim.New()
-	dp := New(s, engineConfig(4, Redundant{K: 3}), nil)
+	dp := New(s, engineConfig(4, &Redundant{K: 3}), nil)
 	inject(dp, 300, 8, 500*sim.Nanosecond)
 	if n := len(dp.dups); n != 0 {
 		t.Fatalf("%d dup groups leaked", n)
@@ -481,7 +481,7 @@ func TestEngineTelemetryWindowAgesOutStragglers(t *testing.T) {
 	// the slow window passes and two telemetry rotations elapse, the
 	// path's p99 estimate must fall back toward its clean latency.
 	s := sim.New()
-	cfg := engineConfig(1, SinglePath{})
+	cfg := engineConfig(1, &SinglePath{})
 	cfg.TelemetryWindow = sim.Millisecond
 	cfg.SlowdownFor = func(i int) vnet.Slowdown {
 		return &vnet.ScriptedSlowdown{Windows: []vnet.SlowWindow{
@@ -537,7 +537,7 @@ func TestEngineConsumeVerdictAccounting(t *testing.T) {
 
 func TestEngineAccessors(t *testing.T) {
 	s := sim.New()
-	dp := New(s, engineConfig(2, JSQ{}), nil)
+	dp := New(s, engineConfig(2, &JSQ{}), nil)
 	if dp.Sim() != s {
 		t.Fatal("Sim() accessor")
 	}
@@ -567,13 +567,13 @@ func TestMPDPDupFractionAccessor(t *testing.T) {
 func TestQuickEngineInvariants(t *testing.T) {
 	mkPolicies := func(rngSeed uint64) []Policy {
 		return []Policy{
-			SinglePath{}, RSSHash{}, &RoundRobin{}, JSQ{},
+			&SinglePath{}, &RSSHash{}, &RoundRobin{}, &JSQ{},
 			&RandomPick{Rng: xrand.New(rngSeed)},
 			&PowerOfTwo{Rng: xrand.New(rngSeed + 1)},
 			NewFlowlet(100 * sim.Microsecond),
 			NewLetFlow(100*sim.Microsecond, xrand.New(rngSeed+2)),
-			LeastLatency{}, &WeightedRR{},
-			Redundant{K: 2}, NewMPDP(DefaultMPDPConfig()),
+			&LeastLatency{}, &WeightedRR{},
+			&Redundant{K: 2}, NewMPDP(DefaultMPDPConfig()),
 		}
 	}
 	f := func(seed uint64, polRaw, pathsRaw, capRaw uint8) bool {

@@ -48,7 +48,7 @@ func conservationOK(t *testing.T, dp *DataPlane, delivered int) {
 
 func TestFailStopQuarantinesAndRecovers(t *testing.T) {
 	s := sim.New()
-	cfg := engineConfig(4, JSQ{})
+	cfg := engineConfig(4, &JSQ{})
 	cfg.Health = fastHealth()
 	delivered := 0
 	dp := New(s, cfg, func(p *packet.Packet) { delivered++ })
@@ -110,7 +110,7 @@ func TestBlackholeWatchdogDetects(t *testing.T) {
 
 func TestBlackholeRepairRecoversViaCanaries(t *testing.T) {
 	s := sim.New()
-	cfg := engineConfig(4, JSQ{})
+	cfg := engineConfig(4, &JSQ{})
 	cfg.Health = fastHealth()
 	delivered := 0
 	dp := New(s, cfg, func(p *packet.Packet) { delivered++ })
@@ -232,7 +232,7 @@ func TestHealthWithDuplicationConserves(t *testing.T) {
 	// Redundant + a mid-run fail-stop: dup groups must resolve exactly once
 	// per packet even when one copy dies on a failing lane.
 	s := sim.New()
-	cfg := engineConfig(4, Redundant{K: 2})
+	cfg := engineConfig(4, &Redundant{K: 2})
 	cfg.Health = fastHealth()
 	delivered := 0
 	dp := New(s, cfg, func(p *packet.Packet) { delivered++ })

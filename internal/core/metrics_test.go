@@ -63,7 +63,7 @@ func TestMetricsDuplicationAccounting(t *testing.T) {
 			}
 			return passChain(20 * sim.Microsecond)
 		},
-		Policy:   Redundant{K: 2},
+		Policy:   &Redundant{K: 2},
 		QueueCap: 512,
 		Seed:     3,
 	}
@@ -105,7 +105,7 @@ func TestMetricsDuplicationAccounting(t *testing.T) {
 func TestMetricsStageTiming(t *testing.T) {
 	run := func(stageTiming bool) *Metrics {
 		s := sim.New()
-		cfg := engineConfig(2, JSQ{})
+		cfg := engineConfig(2, &JSQ{})
 		cfg.StageTiming = stageTiming
 		cfg.ChainFactory = func(i int) *nf.Chain { return nf.PresetChain(3) }
 		dp := New(s, cfg, nil)
@@ -156,7 +156,7 @@ func TestMetricsStageTiming(t *testing.T) {
 // must stay consistent with conservation.
 func TestMetricsDropAccountingVsTotalLost(t *testing.T) {
 	s := sim.New()
-	cfg := engineConfig(2, Redundant{K: 2})
+	cfg := engineConfig(2, &Redundant{K: 2})
 	cfg.QueueCap = 4
 	dp := New(s, cfg, nil)
 	inject(dp, 400, 8, 100*sim.Nanosecond) // heavy overload: queues overflow

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"mpdp/internal/packet"
 	"mpdp/internal/sim"
 	"mpdp/internal/xrand"
@@ -23,48 +25,63 @@ type Policy interface {
 	Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int
 }
 
+// answer is the result buffer every policy embeds: Pick's return value is
+// the policy's own scratch slice, valid until its next Pick — which is all
+// the engine needs, since it consumes the indices before asking again — so
+// answering allocates nothing once the buffer has its capacity.
+type answer struct{ out []int }
+
+// pick overwrites the buffer with idxs and returns it.
+func (a *answer) pick(idxs ...int) []int {
+	a.out = append(a.out[:0], idxs...)
+	return a.out
+}
+
 // --- Baselines -------------------------------------------------------------
 
 // SinglePath always uses path 0: the conventional single-queue, single-core
 // virtualized data plane (the paper's primary "before" case).
-type SinglePath struct{}
+type SinglePath struct{ answer }
 
 // Name implements Policy.
-func (SinglePath) Name() string { return "single" }
+func (*SinglePath) Name() string { return "single" }
 
 // Pick implements Policy.
-func (SinglePath) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int {
-	return []int{0}
+func (sp *SinglePath) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int {
+	return sp.pick(0)
 }
 
 // RSSHash statically hashes each flow to a path with the NIC's Toeplitz
 // function: the standard multi-queue baseline. Never reorders, never
 // adapts — elephant collisions and slow cores hurt whoever hashed there.
-type RSSHash struct{}
+type RSSHash struct{ answer }
 
 // Name implements Policy.
-func (RSSHash) Name() string { return "rss" }
+func (*RSSHash) Name() string { return "rss" }
 
 // Pick implements Policy.
-func (RSSHash) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int {
+func (r *RSSHash) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int {
 	i := packet.RSSQueue(packet.DefaultRSSKey, p.Flow, len(paths))
 	if paths[i].Eligible() {
-		return []int{i}
+		return r.pick(i)
 	}
 	// The hashed queue is down: linear-probe to the next eligible one,
 	// modelling an indirection-table repair. Static — flows from the dead
 	// queue pile onto its neighbor.
 	for off := 1; off < len(paths); off++ {
 		if j := (i + off) % len(paths); paths[j].Eligible() {
-			return []int{j}
+			return r.pick(j)
 		}
 	}
-	return []int{i}
+	return r.pick(i)
 }
 
 // RoundRobin sprays packets across paths per packet: perfect balance,
 // maximal reordering. The classic "why not just spray" strawman.
-type RoundRobin struct{ next int }
+type RoundRobin struct {
+	answer
+	next int
+}
 
 // Name implements Policy.
 func (*RoundRobin) Name() string { return "rr" }
@@ -76,16 +93,17 @@ func (rr *RoundRobin) Pick(now sim.Time, p *packet.Packet, paths []*PathState) [
 		i := rr.next % n
 		rr.next++
 		if paths[i].Eligible() {
-			return []int{i}
+			return rr.pick(i)
 		}
 	}
 	i := rr.next % n
 	rr.next++
-	return []int{i}
+	return rr.pick(i)
 }
 
 // RandomPick sends each packet to a uniformly random eligible path.
 type RandomPick struct {
+	answer
 	Rng *xrand.Rand
 
 	elig []int // scratch
@@ -98,19 +116,19 @@ func (*RandomPick) Name() string { return "random" }
 func (rp *RandomPick) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int {
 	cand := eligibleInto(&rp.elig, paths)
 	if cand == nil {
-		return []int{rp.Rng.Intn(len(paths))}
+		return rp.pick(rp.Rng.Intn(len(paths)))
 	}
-	return []int{cand[rp.Rng.Intn(len(cand))]}
+	return rp.pick(cand[rp.Rng.Intn(len(cand))])
 }
 
 // JSQ joins the shortest queue (by instantaneous depth) per packet.
-type JSQ struct{}
+type JSQ struct{ answer }
 
 // Name implements Policy.
-func (JSQ) Name() string { return "jsq" }
+func (*JSQ) Name() string { return "jsq" }
 
 // Pick implements Policy.
-func (JSQ) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int {
+func (q *JSQ) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int {
 	best, bestDepth := -1, 0
 	for i, ps := range paths {
 		if !ps.Eligible() {
@@ -128,13 +146,14 @@ func (JSQ) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int {
 			}
 		}
 	}
-	return []int{best}
+	return q.pick(best)
 }
 
 // PowerOfTwo samples two random eligible paths and picks the shallower:
 // near-JSQ balance at O(1) state, the standard randomized load-balancing
 // result.
 type PowerOfTwo struct {
+	answer
 	Rng *xrand.Rand
 
 	elig []int // scratch
@@ -154,7 +173,7 @@ func (p2 *PowerOfTwo) Pick(now sim.Time, p *packet.Packet, paths []*PathState) [
 		cand = p2.elig
 	}
 	if len(cand) == 1 {
-		return []int{cand[0]}
+		return p2.pick(cand[0])
 	}
 	ai := p2.Rng.Intn(len(cand))
 	bi := p2.Rng.Intn(len(cand) - 1)
@@ -163,9 +182,9 @@ func (p2 *PowerOfTwo) Pick(now sim.Time, p *packet.Packet, paths []*PathState) [
 	}
 	a, b := cand[ai], cand[bi]
 	if paths[b].Depth() < paths[a].Depth() {
-		return []int{b}
+		return p2.pick(b)
 	}
-	return []int{a}
+	return p2.pick(a)
 }
 
 // eligibleInto fills *buf with the indices of eligible paths, returning nil
@@ -196,8 +215,8 @@ type Flowlet struct {
 	// is the suite default.
 	Timeout sim.Duration
 
+	answer
 	table map[uint64]*flowletEntry
-	out   []int // scratch for Pick's result; reused across calls
 }
 
 type flowletEntry struct {
@@ -241,8 +260,7 @@ func (f *Flowlet) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int
 		// A sticky path that went quarantined/probing forces an immediate
 		// re-steer — the whole point of health integration.
 		if e.path < len(paths) && paths[e.path].Eligible() {
-			f.out = append(f.out[:0], e.path)
-			return f.out
+			return f.pick(e.path)
 		}
 	}
 	best := bestScore(paths)
@@ -252,8 +270,7 @@ func (f *Flowlet) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int
 		f.table[p.FlowID] = e
 	}
 	e.path, e.lastSeen = best, now
-	f.out = append(f.out[:0], best)
-	return f.out
+	return f.pick(best)
 }
 
 // bestScore returns the index of the lowest-Score eligible path (ties to the
@@ -304,15 +321,16 @@ func secondBest(paths []*PathState, first int) int {
 // finish wins and the engine cancels queued siblings. Maximal tail
 // protection, maximal overhead — the upper bound of the duplication axis.
 type Redundant struct {
+	answer
 	// K is the number of copies (>= 2).
 	K int
 }
 
 // Name implements Policy.
-func (r Redundant) Name() string { return "dup-all" }
+func (r *Redundant) Name() string { return "dup-all" }
 
 // Pick implements Policy.
-func (r Redundant) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int {
+func (r *Redundant) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int {
 	k := r.K
 	if k < 2 {
 		k = 2
@@ -329,13 +347,11 @@ func (r Redundant) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []in
 			break
 		}
 	}
-	first := bestScore(paths)
-	out := []int{first}
-	used := map[int]bool{first: true}
-	for len(out) < k {
+	r.pick(bestScore(paths))
+	for len(r.out) < k {
 		next, nextScore := -1, sim.Duration(0)
 		for i := range paths {
-			if used[i] || (haveElig && !paths[i].Eligible()) {
+			if slices.Contains(r.out, i) || (haveElig && !paths[i].Eligible()) {
 				continue
 			}
 			if s := paths[i].Score(); next == -1 || s < nextScore {
@@ -345,10 +361,9 @@ func (r Redundant) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []in
 		if next == -1 {
 			break
 		}
-		used[next] = true
-		out = append(out, next)
+		r.out = append(r.out, next)
 	}
-	return out
+	return r.out
 }
 
 // MPDPConfig tunes the full multipath policy.
@@ -391,9 +406,9 @@ func DefaultMPDPConfig() MPDPConfig {
 // mid-flowlet rerouting away from degraded paths, and tail-aware selective
 // duplication under a budget.
 type MPDP struct {
+	answer
 	cfg     MPDPConfig
 	flowlet *Flowlet
-	out     []int // scratch for Pick's result; reused across calls
 
 	picked     uint64
 	duplicated uint64
@@ -447,8 +462,7 @@ func (m *MPDP) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int {
 	}
 
 	if !m.shouldDuplicate(p, paths[first]) {
-		m.out = append(m.out[:0], first)
-		return m.out
+		return m.pick(first)
 	}
 	second := secondBest(paths, first)
 	// Duplicate only onto spare capacity: a copy sent to a busy path adds
@@ -456,12 +470,10 @@ func (m *MPDP) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int {
 	// pathology, quantified in E7/E12). A nearly idle twin path serves
 	// the copy for free.
 	if second == first || paths[second].Depth() > 1 {
-		m.out = append(m.out[:0], first)
-		return m.out
+		return m.pick(first)
 	}
 	m.duplicated++
-	m.out = append(m.out[:0], first, second)
-	return m.out
+	return m.pick(first, second)
 }
 
 // Rerouted reports how many packets triggered an emergency reroute.

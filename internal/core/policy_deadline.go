@@ -233,6 +233,7 @@ func DefaultDeadlineAwareConfig() DeadlineAwareConfig {
 // deadline is already blown get a single path too: a duplicate cannot
 // un-miss a deadline, so spending budget on it would be pure waste.
 type DeadlineAware struct {
+	answer
 	cfg DeadlineAwareConfig
 
 	picked     uint64
@@ -265,33 +266,33 @@ func (d *DeadlineAware) Pick(now sim.Time, p *packet.Packet, paths []*PathState)
 	d.picked++
 	first := bestScore(paths)
 	if len(paths) == 1 {
-		return []int{first}
+		return d.pick(first)
 	}
 
 	deadline := p.Deadline
 	if deadline == 0 {
 		if d.cfg.Deadline <= 0 {
 			d.safe++ // no deadline to protect: pure best-single-path
-			return []int{first}
+			return d.pick(first)
 		}
 		deadline = now + d.cfg.Deadline
 	}
 	remaining := deadline - now
 	if remaining <= 0 {
 		d.late++
-		return []int{first}
+		return d.pick(first)
 	}
 
 	if d.estimate(paths[first]) <= remaining {
 		d.safe++
-		return []int{first}
+		return d.pick(first)
 	}
 	d.atRisk++
 
 	second := secondBest(paths, first)
 	if second == first {
 		d.denied++
-		return []int{first}
+		return d.pick(first)
 	}
 	// The copy is insurance, not a miracle: buy it only when the second
 	// path could plausibly beat the deadline on its *optimistic* estimate
@@ -301,14 +302,14 @@ func (d *DeadlineAware) Pick(now sim.Time, p *packet.Packet, paths []*PathState)
 	// paths (the dup-all pathology).
 	if paths[second].Score() > remaining {
 		d.denied++
-		return []int{first}
+		return d.pick(first)
 	}
 	if d.cfg.Budget == nil || !d.cfg.Budget.TrySpend(now, p.Size()) {
 		d.denied++
-		return []int{first}
+		return d.pick(first)
 	}
 	d.duplicated++
-	return []int{first, second}
+	return d.pick(first, second)
 }
 
 // estimate is the pessimistic completion bound for a new arrival on ps:

@@ -307,7 +307,7 @@ func TestDupBytesAccounting(t *testing.T) {
 		obsInject(dp, 300, 2*sim.Microsecond)
 		return *dp.Metrics()
 	}
-	m := run(Redundant{K: 2})
+	m := run(&Redundant{K: 2})
 	if m.DupBytes() == 0 {
 		t.Fatal("redundant duplication billed no bytes")
 	}
@@ -315,7 +315,7 @@ func TestDupBytesAccounting(t *testing.T) {
 		t.Fatalf("dup bytes %d != offered bytes %d (one extra copy per packet)",
 			m.DupBytes(), m.OfferedBytes())
 	}
-	if s := run(SinglePath{}); s.DupBytes() != 0 {
+	if s := run(&SinglePath{}); s.DupBytes() != 0 {
 		t.Fatalf("single-path run billed %d dup bytes", s.DupBytes())
 	}
 }

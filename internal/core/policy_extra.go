@@ -12,6 +12,7 @@ import (
 // This reproduces the LetFlow design point: no telemetry at all, just
 // flowlet boundaries + randomness.
 type LetFlow struct {
+	answer
 	Timeout sim.Duration
 	Rng     *xrand.Rand
 
@@ -38,7 +39,7 @@ func (l *LetFlow) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int
 	e, ok := l.table[p.FlowID]
 	if ok && now-e.lastSeen <= l.Timeout && e.path < len(paths) && paths[e.path].Eligible() {
 		e.lastSeen = now
-		return []int{e.path}
+		return l.pick(e.path)
 	}
 	var choice int
 	if cand := eligibleInto(&l.elig, paths); cand != nil {
@@ -51,20 +52,20 @@ func (l *LetFlow) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int
 		l.table[p.FlowID] = e
 	}
 	e.path, e.lastSeen = choice, now
-	return []int{choice}
+	return l.pick(choice)
 }
 
 // LeastLatency steers every packet to the path with the lowest smoothed
 // latency estimate (EWMA), ignoring instantaneous queue depth. It shows
 // what telemetry lag costs: the EWMA trails reality, so bursts pile onto a
 // path that *was* fast.
-type LeastLatency struct{}
+type LeastLatency struct{ answer }
 
 // Name implements Policy.
-func (LeastLatency) Name() string { return "least-lat" }
+func (*LeastLatency) Name() string { return "least-lat" }
 
 // Pick implements Policy.
-func (LeastLatency) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int {
+func (ll *LeastLatency) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []int {
 	best := -1
 	var bestLat sim.Duration
 	for i, ps := range paths {
@@ -83,7 +84,7 @@ func (LeastLatency) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []i
 			}
 		}
 	}
-	return []int{best}
+	return ll.pick(best)
 }
 
 // WeightedRR distributes packets round-robin weighted by each path's
@@ -91,6 +92,7 @@ func (LeastLatency) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []i
 // gets half the packets. Adapts to heterogeneous paths but not to
 // transient interference.
 type WeightedRR struct {
+	answer
 	credit []float64
 }
 
@@ -124,5 +126,5 @@ func (w *WeightedRR) Pick(now sim.Time, p *packet.Packet, paths []*PathState) []
 		}
 	}
 	w.credit[best] -= bestCredit // spend: push to the back of the rotation
-	return []int{best}
+	return w.pick(best)
 }

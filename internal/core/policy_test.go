@@ -45,7 +45,7 @@ func flowPkt(flow uint64) *packet.Packet {
 
 func TestSinglePathAlwaysZero(t *testing.T) {
 	_, paths := testPaths(t, 4, 100)
-	p := SinglePath{}
+	p := &SinglePath{}
 	for i := uint64(0); i < 20; i++ {
 		if got := p.Pick(0, flowPkt(i), paths); len(got) != 1 || got[0] != 0 {
 			t.Fatalf("SinglePath picked %v", got)
@@ -55,7 +55,7 @@ func TestSinglePathAlwaysZero(t *testing.T) {
 
 func TestRSSHashStableAndSpread(t *testing.T) {
 	_, paths := testPaths(t, 8, 100)
-	p := RSSHash{}
+	p := &RSSHash{}
 	seen := make(map[int]bool)
 	for i := uint64(0); i < 200; i++ {
 		pkt := flowPkt(i)
@@ -105,7 +105,7 @@ func TestJSQPicksShallowest(t *testing.T) {
 		paths[0].Lane.Enqueue(flowPkt(uint64(i)))
 	}
 	paths[1].Lane.Enqueue(flowPkt(100))
-	if got := (JSQ{}).Pick(0, flowPkt(999), paths); got[0] != 2 {
+	if got := (&JSQ{}).Pick(0, flowPkt(999), paths); got[0] != 2 {
 		t.Fatalf("JSQ picked %d, want idle path 2", got[0])
 	}
 }
@@ -178,7 +178,7 @@ func TestFlowletDifferentFlowsIndependent(t *testing.T) {
 
 func TestRedundantPicksDistinct(t *testing.T) {
 	_, paths := testPaths(t, 4, 100)
-	r := Redundant{K: 3}
+	r := &Redundant{K: 3}
 	got := r.Pick(0, flowPkt(1), paths)
 	if len(got) != 3 {
 		t.Fatalf("dup count %d", len(got))
@@ -194,12 +194,12 @@ func TestRedundantPicksDistinct(t *testing.T) {
 
 func TestRedundantClampsToPathCount(t *testing.T) {
 	_, paths := testPaths(t, 2, 100)
-	r := Redundant{K: 5}
+	r := &Redundant{K: 5}
 	if got := r.Pick(0, flowPkt(1), paths); len(got) != 2 {
 		t.Fatalf("K not clamped: %v", got)
 	}
 	// K < 2 behaves as 2.
-	r = Redundant{K: 0}
+	r = &Redundant{K: 0}
 	if got := r.Pick(0, flowPkt(1), paths); len(got) != 2 {
 		t.Fatalf("K floor not applied: %v", got)
 	}
@@ -423,7 +423,7 @@ func TestLeastLatencyPicksFastPath(t *testing.T) {
 			paths[i].observe(0, 1000, sim.Duration(1000*(i+1))) // path 0 fastest
 		}
 	}
-	if got := (LeastLatency{}).Pick(0, flowPkt(1), paths); got[0] != 0 {
+	if got := (&LeastLatency{}).Pick(0, flowPkt(1), paths); got[0] != 0 {
 		t.Fatalf("least-lat picked %d", got[0])
 	}
 }

@@ -31,12 +31,17 @@ type DeliverFunc func(p *packet.Packet)
 // The buffer also deduplicates: when the redundancy policy sends two copies
 // of a sequence number, the first to finish service wins and the second is
 // discarded here.
+//
+// Ownership: Submit takes the packet over. It leaves again through the
+// deliver callback, or — for a duplicate or a straggler dropped here — goes
+// back to the pool after the onLost callback (if any) returns.
 type Reorder struct {
 	sim     *sim.Simulator
 	timeout sim.Duration
 	deliver DeliverFunc
-	onLost  DeliverFunc // a real packet discarded for good (late drop)
-	trace   obs.Sink    // optional flight-recorder hook (nil = off)
+	onLost  DeliverFunc  // a real packet discarded for good (late drop)
+	trace   obs.Sink     // optional flight-recorder hook (nil = off)
+	pool    *packet.Pool // where packets dropped here go back (nil = nowhere)
 
 	flows map[uint64]*flowOrder
 
@@ -61,7 +66,8 @@ type pendingPkt struct {
 type flowOrder struct {
 	next    uint64 // lowest sequence not yet released
 	pending map[uint64]pendingPkt
-	timer   *sim.Event // gap timer, armed while pending is non-empty
+	timer   sim.Event // gap timer, armed while pending is non-empty
+	fire    func()    // the timer's callback, bound once per flow
 }
 
 // NewReorder builds the stage. timeout <= 0 disables gap timeouts (wait
@@ -97,6 +103,7 @@ func (r *Reorder) flow(id uint64) *flowOrder {
 	f, ok := r.flows[id]
 	if !ok {
 		f = &flowOrder{pending: make(map[uint64]pendingPkt)}
+		f.fire = func() { r.onTimeout(f) }
 		r.flows[id] = f
 	}
 	return f
@@ -120,7 +127,7 @@ func (r *Reorder) Submit(p *packet.Packet) {
 				r.onLost(p)
 			}
 		}
-		return
+		r.pool.Put(p)
 	case p.Seq == f.next:
 		r.inOrder++
 		r.release(f, p)
@@ -130,6 +137,7 @@ func (r *Reorder) Submit(p *packet.Packet) {
 		if _, dup := f.pending[p.Seq]; dup {
 			r.dupDrops++
 			p.Dropped = packet.DropCancelled
+			r.pool.Put(p)
 			return
 		}
 		r.outOfOrder++
@@ -197,10 +205,7 @@ func (r *Reorder) drain(f *flowOrder) {
 		}
 	}
 	if len(f.pending) == 0 {
-		if f.timer != nil {
-			f.timer.Cancel()
-			f.timer = nil
-		}
+		f.timer.Cancel()
 	} else {
 		r.armTimer(f)
 	}
@@ -208,7 +213,7 @@ func (r *Reorder) drain(f *flowOrder) {
 
 // armTimer arms the flow's gap timer for its oldest pending entry.
 func (r *Reorder) armTimer(f *flowOrder) {
-	if r.timeout <= 0 || f.timer != nil || len(f.pending) == 0 {
+	if r.timeout <= 0 || f.timer.Pending() || len(f.pending) == 0 {
 		return
 	}
 	oldest := r.oldestPending(f)
@@ -216,10 +221,7 @@ func (r *Reorder) armTimer(f *flowOrder) {
 	if fireIn < 1 {
 		fireIn = 1
 	}
-	f.timer = r.sim.Schedule(fireIn, func() {
-		f.timer = nil
-		r.onTimeout(f)
-	})
+	f.timer = r.sim.Schedule(fireIn, f.fire)
 }
 
 func (r *Reorder) oldestPending(f *flowOrder) sim.Time {
@@ -318,10 +320,7 @@ func (r *Reorder) Flush() {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		f := r.flows[id]
-		if f.timer != nil {
-			f.timer.Cancel()
-			f.timer = nil
-		}
+		f.timer.Cancel()
 		for len(f.pending) > 0 {
 			min := ^uint64(0)
 			for seq := range f.pending {

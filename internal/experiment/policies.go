@@ -31,11 +31,11 @@ type PolicyParams struct {
 
 // policyBuilders maps CLI/table names to constructors.
 var policyBuilders = map[string]func(rng *xrand.Rand, p PolicyParams) core.Policy{
-	"single": func(rng *xrand.Rand, p PolicyParams) core.Policy { return core.SinglePath{} },
-	"rss":    func(rng *xrand.Rand, p PolicyParams) core.Policy { return core.RSSHash{} },
+	"single": func(rng *xrand.Rand, p PolicyParams) core.Policy { return &core.SinglePath{} },
+	"rss":    func(rng *xrand.Rand, p PolicyParams) core.Policy { return &core.RSSHash{} },
 	"rr":     func(rng *xrand.Rand, p PolicyParams) core.Policy { return &core.RoundRobin{} },
 	"random": func(rng *xrand.Rand, p PolicyParams) core.Policy { return &core.RandomPick{Rng: rng} },
-	"jsq":    func(rng *xrand.Rand, p PolicyParams) core.Policy { return core.JSQ{} },
+	"jsq":    func(rng *xrand.Rand, p PolicyParams) core.Policy { return &core.JSQ{} },
 	"po2":    func(rng *xrand.Rand, p PolicyParams) core.Policy { return &core.PowerOfTwo{Rng: rng} },
 	"flowlet": func(rng *xrand.Rand, p PolicyParams) core.Policy {
 		t := p.FlowletTimeout
@@ -51,14 +51,14 @@ var policyBuilders = map[string]func(rng *xrand.Rand, p PolicyParams) core.Polic
 		}
 		return core.NewLetFlow(t, rng)
 	},
-	"least-lat": func(rng *xrand.Rand, p PolicyParams) core.Policy { return core.LeastLatency{} },
+	"least-lat": func(rng *xrand.Rand, p PolicyParams) core.Policy { return &core.LeastLatency{} },
 	"wrr":       func(rng *xrand.Rand, p PolicyParams) core.Policy { return &core.WeightedRR{} },
 	"dup-all": func(rng *xrand.Rand, p PolicyParams) core.Policy {
 		k := p.DupK
 		if k == 0 {
 			k = 2
 		}
-		return core.Redundant{K: k}
+		return &core.Redundant{K: k}
 	},
 	"mpdp": func(rng *xrand.Rand, p PolicyParams) core.Policy {
 		cfg := core.DefaultMPDPConfig()

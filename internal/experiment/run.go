@@ -245,7 +245,12 @@ type RunResult struct {
 }
 
 // Run executes one configuration and returns its measurements.
-func Run(cfg RunConfig) (RunResult, error) {
+func Run(cfg RunConfig) (RunResult, error) { return run(cfg, new(packet.Pool)) }
+
+// run is Run on a caller-supplied packet pool — the one the generator mints
+// from and the data plane returns to — so tests can poison it and audit its
+// counts.
+func run(cfg RunConfig, pkts *packet.Pool) (RunResult, error) {
 	cfg.fillDefaults()
 
 	intf, err := interferenceConfig(cfg.Interference)
@@ -330,6 +335,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 		Flows: cfg.Flows, FlowSkew: cfg.FlowSkew,
 		BulkFraction: cfg.BulkFraction,
 		Rng:          rng.Split(),
+		Packets:      pkts,
 	})
 
 	policy, err := NewPolicy(cfg.Policy, rng.Split(), PolicyParams{
@@ -390,6 +396,7 @@ func Run(cfg RunConfig) (RunResult, error) {
 		Deadline:        cfg.Deadline,
 		Seed:            cfg.Seed,
 		TimelineWindow:  cfg.TimelineWindow,
+		Packets:         pkts,
 	}
 
 	// Observability taps. The collector and any caller-supplied sink share

@@ -202,7 +202,7 @@ func testDP(t *testing.T) (*sim.Simulator, *core.DataPlane) {
 				},
 			})
 		},
-		Policy:   core.JSQ{},
+		Policy:   &core.JSQ{},
 		QueueCap: 64,
 		Seed:     7,
 	}, func(p *packet.Packet) {})

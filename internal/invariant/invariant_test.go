@@ -27,7 +27,7 @@ func idleChecker(t *testing.T, opts Options) *Checker {
 	dp := core.New(s, core.Config{
 		NumPaths:     2,
 		ChainFactory: func(i int) *nf.Chain { return passChain() },
-		Policy:       core.JSQ{},
+		Policy:       &core.JSQ{},
 		Seed:         1,
 	}, func(p *packet.Packet) {})
 	return Attach(dp, opts)
@@ -170,7 +170,7 @@ func engineRun(t *testing.T, policy core.Policy, pkts int, fail bool) (*core.Dat
 }
 
 func TestCleanEngineRunPasses(t *testing.T) {
-	for _, pol := range []core.Policy{core.JSQ{}, &core.RoundRobin{}, core.Redundant{K: 2}} {
+	for _, pol := range []core.Policy{&core.JSQ{}, &core.RoundRobin{}, &core.Redundant{K: 2}} {
 		_, chk := engineRun(t, pol, 1500, false)
 		if err := chk.Finish(true); err != nil {
 			t.Fatalf("%T: %v", pol, err)
@@ -181,14 +181,14 @@ func TestCleanEngineRunPasses(t *testing.T) {
 func TestFaultedEngineRunPasses(t *testing.T) {
 	// A blackhole mid-run: packets are lost, but every loss must still be
 	// accounted, and conservation must hold at drain.
-	_, chk := engineRun(t, core.JSQ{}, 1500, true)
+	_, chk := engineRun(t, &core.JSQ{}, 1500, true)
 	if err := chk.Finish(true); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestFinishCatchesPhantomIngress(t *testing.T) {
-	_, chk := engineRun(t, core.JSQ{}, 200, false)
+	_, chk := engineRun(t, &core.JSQ{}, 200, false)
 	// An ingress the engine never saw: offered-vs-observed must mismatch,
 	// and the packet stays outstanding at drain.
 	chk.PacketIngress(mk(1<<40, 9, 0, 1<<40))

@@ -7,10 +7,11 @@ import (
 
 // PacketReuseAnalyzer flags use of a *packet.Packet variable after it has
 // been handed to a lane/engine ingestion call (Enqueue, Send, Inject, ...)
-// in the same statement block. Ownership transfers at the call: the lane
-// mutates the packet's timestamps and may hand it to another goroutine in
-// live mode, so a subsequent read races and a subsequent re-enqueue
-// corrupts accounting.
+// or returned to its pool (pool.Put(p)) in the same statement block.
+// Ownership transfers at the call: the lane mutates the packet's timestamps
+// and may hand it to another goroutine in live mode, so a subsequent read
+// races and a subsequent re-enqueue corrupts accounting; a returned packet
+// may already be someone else's.
 //
 // Only unconditional hand-offs (the call as its own statement) taint the
 // variable; a call whose boolean result is inspected (`if !lane.Enqueue(p)`)
@@ -18,7 +19,7 @@ import (
 // flagged.
 var PacketReuseAnalyzer = &Analyzer{
 	Name:   "packetreuse",
-	Doc:    "flag use of a *packet.Packet after an unconditional Enqueue/Send-style hand-off in the same block",
+	Doc:    "flag use of a *packet.Packet after an unconditional Enqueue/Send-style hand-off or a pool Put in the same block",
 	Scoped: nil,
 	Run:    runPacketReuse,
 }
@@ -33,6 +34,7 @@ var handoffMethods = map[string]bool{
 	"Submit":  true,
 	"Deliver": true,
 	"Push":    true,
+	"Put":     true,
 }
 
 // isPacketPtr reports whether t is *packet.Packet.

@@ -46,6 +46,25 @@ func goodBeforeHandoff(l *lane, p *packet.Packet) int {
 	return n
 }
 
+// badReadAfterPut reads a packet the pool may already have handed out again.
+func badReadAfterPut(pl *packet.Pool, p *packet.Packet) uint64 {
+	pl.Put(p)
+	return p.ID
+}
+
+// badDoublePut returns the same packet twice.
+func badDoublePut(pl *packet.Pool, p *packet.Packet) {
+	pl.Put(p)
+	pl.Put(p)
+}
+
+// goodPutLast reads what it needs, then lets go.
+func goodPutLast(pl *packet.Pool, p *packet.Packet) int {
+	n := p.Size()
+	pl.Put(p)
+	return n
+}
+
 // allowed documents a deliberate exception.
 func allowed(l *lane, p *packet.Packet) uint64 {
 	l.Enqueue(p)

@@ -20,6 +20,18 @@ type BuildOpts struct {
 
 // BuildUDP constructs a complete Ethernet+IPv4+UDP frame carrying payload.
 func BuildUDP(key FlowKey, payload []byte, opts BuildOpts) []byte {
+	eth := ethFromOpts(opts)
+	hdr := eth.HeaderLen() + IPv4HeaderLen + UDPHeaderLen
+	buf := make([]byte, hdr+len(payload))
+	PutUDP(buf, key, opts)
+	copy(buf[hdr:], payload)
+	return buf
+}
+
+// PutUDP writes the Ethernet+IPv4+UDP headers of a frame that fills buf
+// exactly; whatever follows the headers is the payload and is left as it
+// is. Generators that recycle frame buffers build in place with it.
+func PutUDP(buf []byte, key FlowKey, opts BuildOpts) {
 	if key.Proto == 0 {
 		key.Proto = ProtoUDP
 	}
@@ -28,8 +40,7 @@ func BuildUDP(key FlowKey, payload []byte, opts BuildOpts) []byte {
 	}
 	eth := ethFromOpts(opts)
 	ethLen := eth.HeaderLen()
-	totalIP := IPv4HeaderLen + UDPHeaderLen + len(payload)
-	buf := make([]byte, ethLen+totalIP)
+	totalIP := len(buf) - ethLen
 	eth.Encode(buf)
 
 	ip := IPv4{
@@ -41,11 +52,9 @@ func BuildUDP(key FlowKey, payload []byte, opts BuildOpts) []byte {
 
 	udp := UDP{
 		SrcPort: key.SrcPort, DstPort: key.DstPort,
-		Length: uint16(UDPHeaderLen + len(payload)),
+		Length: uint16(totalIP - IPv4HeaderLen),
 	}
 	udp.Encode(buf[ethLen+IPv4HeaderLen:])
-	copy(buf[ethLen+IPv4HeaderLen+UDPHeaderLen:], payload)
-	return buf
 }
 
 // BuildTCP constructs a complete Ethernet+IPv4+TCP frame carrying payload.

@@ -119,6 +119,12 @@ type Packet struct {
 	Cancelled bool
 
 	Dropped DropReason
+
+	// pooled is zero for a packet built by hand and tracks a Pool-minted
+	// one (out with a holder, or back in the free list). One byte in the
+	// struct's tail padding: the packet must not grow, the wire and live
+	// engines allocate one per frame.
+	pooled uint8
 }
 
 // Size returns the frame length in bytes.
@@ -140,17 +146,6 @@ func (p *Packet) Latency() sim.Duration { return p.Delivered - p.Ingress }
 // Always false for packets without one.
 func (p *Packet) MissedDeadline() bool {
 	return p.Deadline > 0 && p.Delivered > p.Deadline
-}
-
-// Clone deep-copies the packet (fresh Data buffer) and assigns the given
-// new ID, preserving OrigID lineage. Used by the duplication policy.
-func (p *Packet) Clone(newID uint64) *Packet {
-	q := *p
-	q.ID = newID
-	q.IsDup = true
-	q.Data = make([]byte, len(p.Data))
-	copy(q.Data, p.Data)
-	return &q
 }
 
 func (p *Packet) String() string {

@@ -302,7 +302,7 @@ func TestExtractFlowKeyRejectsARP(t *testing.T) {
 func TestPacketClone(t *testing.T) {
 	key := FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: ProtoUDP}
 	p := &Packet{ID: 10, OrigID: 10, Data: BuildUDP(key, []byte("x"), BuildOpts{}), Flow: key, Seq: 7}
-	q := p.Clone(11)
+	q := new(Pool).Clone(p, 11)
 	if q.ID != 11 || q.OrigID != 10 || !q.IsDup {
 		t.Fatalf("clone identity: %+v", q)
 	}

@@ -8,7 +8,8 @@
 //
 // The kernel is intentionally minimal: a monotonic clock, a binary-heap
 // event queue with stable FIFO ordering for simultaneous events, and
-// cancellable event handles. Everything else (queues, cores, NICs) is built
+// cancellable event handles. Events are values in the heap, so scheduling
+// and firing allocate nothing. Everything else (queues, cores, NICs) is built
 // on top in the vnet package.
 package sim
 
@@ -51,37 +52,65 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Micros returns the time as floating-point microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// Event is a scheduled callback. The zero value is invalid; events are
-// created by Simulator.Schedule and friends.
+// Event is a handle on one scheduled callback — a slot and the generation
+// it had when the event was scheduled — and a value, not a pointer. The zero
+// Event is "no event". A handle is live from At until its event fires or its
+// cancelled entry leaves the heap; the slot then moves to its next generation
+// and every copy of the old handle goes inert (Cancel does nothing, Pending
+// is false), so a stale handle never reaches the event reusing its slot.
 type Event struct {
-	at        Time
-	seq       uint64 // tiebreaker: FIFO among simultaneous events
-	fn        func()
-	index     int // position in the heap, -1 when not queued
-	cancelled bool
+	s    *Simulator
+	slot uint32
+	gen  uint32
 }
 
-// Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op. Cancel is O(1); the slot is dropped
-// lazily when it reaches the top of the heap.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.cancelled = true
-		e.fn = nil // release closure for GC
+// Cancel prevents the event from firing. Cancelling an already-fired,
+// already-cancelled or zero event is a no-op. Cancel is O(1); the heap
+// entry is dropped lazily when it reaches the top.
+func (e Event) Cancel() {
+	if e.Pending() {
+		e.s.slots[e.slot].cancelled = true
 	}
 }
 
-// Cancelled reports whether Cancel was called.
-func (e *Event) Cancelled() bool { return e != nil && e.cancelled }
+// Pending reports whether the event is still going to fire: scheduled,
+// not yet fired, not cancelled. It is already false inside the event's own
+// callback.
+func (e Event) Pending() bool {
+	if e.s == nil {
+		return false
+	}
+	sl := e.s.slots[e.slot]
+	return sl.gen == e.gen && !sl.cancelled
+}
 
-// Time returns the virtual time at which the event fires (or would have).
-func (e *Event) Time() Time { return e.at }
+// entry is one pending event, held by value in the heap.
+type entry struct {
+	at   Time
+	seq  uint64 // tiebreaker: FIFO among simultaneous events
+	fn   func()
+	slot uint32
+}
+
+// slot is the cancellable state of one pending event, addressed by the
+// handle. gen advances every time the slot is recycled.
+type slot struct {
+	gen       uint32
+	cancelled bool
+}
 
 // Simulator owns the virtual clock and the pending-event heap.
 // The zero value is a simulator at time 0 with no events, ready to use.
+//
+// Scheduling allocates nothing once the heap and slot slices have grown to
+// the peak number of pending events. The caller's func is the caller's cost:
+// a literal that captures variables allocates, so per-packet callers bind one
+// func per long-lived object and keep the arguments in its fields.
 type Simulator struct {
 	now    Time
 	events eventHeap
+	slots  []slot
+	free   []uint32 // recycled slot indices
 	seq    uint64
 	fired  uint64
 }
@@ -100,7 +129,7 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Schedule queues fn to run after delay. A negative delay panics: the
 // simulator's clock is monotonic and the past cannot be rewritten.
-func (s *Simulator) Schedule(delay Duration, fn func()) *Event {
+func (s *Simulator) Schedule(delay Duration, fn func()) Event {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: Schedule with negative delay %d", delay))
 	}
@@ -111,36 +140,60 @@ func (s *Simulator) Schedule(delay Duration, fn func()) *Event {
 	return s.At(t, fn)
 }
 
-// At queues fn to run at absolute virtual time t (>= Now).
-func (s *Simulator) At(t Time, fn func()) *Event {
+// At queues fn to run at absolute virtual time t (>= Now). Events at the
+// same time fire in the order they were scheduled.
+//
+//mpdp:hotpath bench=BenchmarkSimSchedule
+func (s *Simulator) At(t Time, fn func()) Event {
 	if t < s.now {
+		//lint:allow hotalloc formats the message of a panic; never runs in a correct program
 		panic(fmt.Sprintf("sim: At(%v) is before now (%v)", t, s.now))
 	}
 	if fn == nil {
 		panic("sim: nil event function")
 	}
-	e := &Event{at: t, seq: s.seq, fn: fn, index: -1}
+	var i uint32
+	if n := len(s.free); n > 0 {
+		i = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		i = uint32(len(s.slots))
+		//lint:allow hotalloc grows to the peak number of pending events, then every slot is recycled
+		s.slots = append(s.slots, slot{})
+	}
+	s.events.push(entry{at: t, seq: s.seq, fn: fn, slot: i})
 	s.seq++
-	s.events.push(e)
-	return e
+	return Event{s: s, slot: i, gen: s.slots[i].gen}
+}
+
+// take pops the earliest entry and recycles its slot, reporting whether the
+// event is live (not cancelled). The slot is released before the callback
+// runs, so the callback's own handle is already inert and its At calls can
+// reuse the slot.
+func (s *Simulator) take() (entry, bool) {
+	e := s.events.pop()
+	sl := &s.slots[e.slot]
+	live := !sl.cancelled
+	sl.gen++
+	sl.cancelled = false
+	//lint:allow hotalloc free never holds more than len(slots) indices; capacity settles at the peak
+	s.free = append(s.free, e.slot)
+	return e, live
 }
 
 // Step fires the single earliest event. It returns false when no runnable
-// event remains. The dispatch loop itself is allocation-free; scheduling
-// (At) owns the per-event allocation.
+// event remains. Neither dispatch nor scheduling allocates.
 //
 //mpdp:hotpath bench=BenchmarkSimStep
 func (s *Simulator) Step() bool {
 	for len(s.events) > 0 {
-		e := s.events.pop()
-		if e.cancelled {
+		e, live := s.take()
+		if !live {
 			continue
 		}
 		s.now = e.at
-		fn := e.fn
-		e.fn = nil
 		s.fired++
-		fn()
+		e.fn()
 		return true
 	}
 	return false
@@ -156,8 +209,8 @@ func (s *Simulator) Run() {
 // t even if the queue drained earlier. Events scheduled after t stay queued.
 func (s *Simulator) RunUntil(t Time) {
 	for {
-		e := s.peekRunnable()
-		if e == nil || e.at > t {
+		at, ok := s.peekRunnable()
+		if !ok || at > t {
 			break
 		}
 		s.Step()
@@ -171,83 +224,80 @@ func (s *Simulator) RunUntil(t Time) {
 func (s *Simulator) RunFor(d Duration) { s.RunUntil(s.now + d) }
 
 // peekRunnable discards cancelled events at the top of the heap and returns
-// the next live one, or nil.
-func (s *Simulator) peekRunnable() *Event {
+// the time of the next live one.
+func (s *Simulator) peekRunnable() (Time, bool) {
 	for len(s.events) > 0 {
-		e := s.events[0]
-		if !e.cancelled {
-			return e
+		e := &s.events[0]
+		if !s.slots[e.slot].cancelled {
+			return e.at, true
 		}
-		s.events.pop()
+		s.take()
 	}
-	return nil
+	return 0, false
 }
 
-// eventHeap is a binary min-heap ordered by (time, seq). A hand-rolled heap
-// (rather than container/heap) avoids interface boxing on the hottest path
-// of the simulator.
-type eventHeap []*Event
+// eventHeap is a binary min-heap of entries ordered by (time, seq). A
+// hand-rolled heap (rather than container/heap) avoids interface boxing on
+// the hottest path of the simulator; holding entries by value keeps
+// scheduling off the allocator.
+type eventHeap []entry
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders entries by (time, seq).
+func (a *entry) before(b *entry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h *eventHeap) push(e *Event) {
-	*h = append(*h, e)
-	e.index = len(*h) - 1
-	h.up(e.index)
+func (h *eventHeap) push(e entry) {
+	*h = append(*h, e) // grows to the peak number of pending events and stays there
+	h.up(len(*h) - 1)
 }
 
-func (h *eventHeap) pop() *Event {
+func (h *eventHeap) pop() entry {
 	old := *h
-	n := len(old)
-	top := old[0]
-	old[0], old[n-1] = old[n-1], old[0]
-	old[0].index = 0
-	old[n-1] = nil
-	*h = old[:n-1]
-	if len(*h) > 0 {
-		h.down(0)
+	n := len(old) - 1
+	top, last := old[0], old[n]
+	old[n] = entry{} // drop the func reference
+	*h = old[:n]
+	if n > 0 {
+		old[:n].down(last)
 	}
-	top.index = -1
 	return top
 }
 
+// up sifts the entry at i towards the root. Like down it moves a hole
+// rather than swapping: each level costs one 32-byte copy, not two.
 func (h eventHeap) up(i int) {
+	e := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !e.before(&h[parent]) {
 			break
 		}
-		h.swap(i, parent)
+		h[i] = h[parent]
 		i = parent
 	}
+	h[i] = e
 }
 
-func (h eventHeap) down(i int) {
-	n := len(h)
+// down places e, starting from a hole at the root.
+func (h eventHeap) down(e entry) {
+	i, n := 0, len(h)
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
+		c := 2*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
+		if r := c + 1; r < n && h[r].before(&h[c]) {
+			c = r
 		}
-		if smallest == i {
-			return
+		if !h[c].before(&e) {
+			break
 		}
-		h.swap(i, smallest)
-		i = smallest
+		h[i] = h[c]
+		i = c
 	}
-}
-
-func (h eventHeap) swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i] = e
 }

@@ -89,8 +89,58 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+	if e.Pending() {
+		t.Fatal("Pending() = true after Cancel")
+	}
+}
+
+// The handle contract: a handle goes inert once its event has fired or its
+// cancelled entry has left the heap, and a stale handle must never reach
+// the event that reuses its slot.
+func TestStaleHandleIsInert(t *testing.T) {
+	s := New()
+	var inCallback bool
+	var first Event
+	first = s.Schedule(10, func() { inCallback = first.Pending() })
+	if !first.Pending() {
+		t.Fatal("Pending() = false before the event fired")
+	}
+	s.Run()
+	if inCallback {
+		t.Fatal("Pending() = true inside the event's own callback")
+	}
+	if first.Pending() {
+		t.Fatal("Pending() = true after the event fired")
+	}
+
+	// The freed slot is reused; the old handle must not cancel the new event.
+	fired := false
+	second := s.Schedule(10, func() { fired = true })
+	if second.slot != first.slot {
+		t.Fatalf("slot not recycled: first %d, second %d", first.slot, second.slot)
+	}
+	first.Cancel()
+	if !second.Pending() {
+		t.Fatal("stale handle cancelled the event that reused its slot")
+	}
+	s.Run()
+	if !fired {
+		t.Fatal("event sharing a recycled slot did not fire")
+	}
+
+	// Same after a cancel: the cancelled entry drains, the slot is reused.
+	third := s.Schedule(10, func() { t.Fatal("cancelled event fired") })
+	third.Cancel()
+	s.Run()
+	fired = false
+	fourth := s.Schedule(10, func() { fired = true })
+	third.Cancel()
+	s.Run()
+	if !fired || fourth.Pending() {
+		t.Fatalf("after cancel+reuse: fired=%v pending=%v", fired, fourth.Pending())
+	}
+	if len(s.slots) != 1 {
+		t.Fatalf("one event at a time used %d slots, want 1", len(s.slots))
 	}
 }
 
@@ -99,15 +149,15 @@ func TestCancelIsIdempotent(t *testing.T) {
 	e := s.Schedule(10, func() {})
 	e.Cancel()
 	e.Cancel() // must not panic
-	var nilEv *Event
-	nilEv.Cancel() // nil-safe
+	var zero Event
+	zero.Cancel() // the zero handle is "no event"
 	s.Run()
 }
 
 func TestCancelOneOfMany(t *testing.T) {
 	s := New()
 	var fired []int
-	evs := make([]*Event, 5)
+	evs := make([]Event, 5)
 	for i := 0; i < 5; i++ {
 		i := i
 		evs[i] = s.Schedule(Duration(i+1), func() { fired = append(fired, i) })
@@ -347,9 +397,34 @@ func BenchmarkHeap10k(b *testing.B) {
 	}
 }
 
+// BenchmarkSimSchedule is the steady state of a running simulation: every
+// iteration schedules one event with a pre-bound func and fires one, and
+// every fourth iteration also schedules and cancels one, so cancelled
+// entries drain and their slots are reused. The //mpdp:hotpath gate holds
+// At at 0 allocs/op.
+func BenchmarkSimSchedule(b *testing.B) {
+	s := New()
+	fired := 0
+	fn := func() { fired++ }
+	for i := 0; i < 64; i++ { // a standing population, as lanes and timers keep one
+		s.Schedule(Duration(i), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Schedule(64, fn)
+		if i%4 == 0 {
+			s.Schedule(32, fn).Cancel()
+		}
+		s.Step()
+	}
+	if fired != b.N {
+		b.Fatalf("fired %d of %d events", fired, b.N)
+	}
+}
+
 // BenchmarkSimStep measures the dispatch loop alone: every event is
-// scheduled before the timer starts, so the //mpdp:hotpath alloc gate
-// covers Step and not At's per-event allocation.
+// scheduled before the timer starts.
 func BenchmarkSimStep(b *testing.B) {
 	s := New()
 	fired := 0

@@ -6,7 +6,8 @@ type Ticker struct {
 	sim    *Simulator
 	period Duration
 	fn     func(now Time)
-	ev     *Event
+	tick   func() // bound once, so re-arming allocates nothing
+	ev     Event
 	stop   bool
 }
 
@@ -17,26 +18,18 @@ func NewTicker(s *Simulator, period Duration, fn func(now Time)) *Ticker {
 		panic("sim: NewTicker with non-positive period")
 	}
 	t := &Ticker{sim: s, period: period, fn: fn}
-	t.arm()
-	return t
-}
-
-func (t *Ticker) arm() {
-	t.ev = t.sim.Schedule(t.period, func() {
-		if t.stop {
-			return
-		}
+	t.tick = func() {
 		t.fn(t.sim.Now())
 		if !t.stop {
-			t.arm()
+			t.ev = t.sim.Schedule(t.period, t.tick)
 		}
-	})
+	}
+	t.ev = s.Schedule(period, t.tick)
+	return t
 }
 
 // Stop halts the ticker; subsequent ticks are cancelled.
 func (t *Ticker) Stop() {
 	t.stop = true
-	if t.ev != nil {
-		t.ev.Cancel()
-	}
+	t.ev.Cancel()
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"mpdp/internal/nf"
-	"mpdp/internal/packet"
 	"mpdp/internal/sim"
 	"mpdp/internal/xrand"
 )
@@ -92,14 +91,9 @@ func TestStrictPriorityScanAndAccessors(t *testing.T) {
 	if sp.Bytes() <= 0 {
 		t.Fatal("Bytes() zero")
 	}
-	// Scan order visits priority bands first and can stop early.
-	var seen []uint64
-	sp.Scan(func(p *packet.Packet) bool {
-		seen = append(seen, p.ID)
-		return len(seen) < 2
-	})
-	if len(seen) != 2 || seen[0] != 9 {
-		t.Fatalf("scan order/early-stop: %v", seen)
+	// Scan order visits priority bands first, each head to tail.
+	if seen := scanIDs(sp); len(seen) != 4 || seen[0] != 9 || seen[1] != 1 || seen[3] != 3 {
+		t.Fatalf("scan order: %v", seen)
 	}
 }
 
@@ -107,10 +101,8 @@ func TestDRRScanAndDegenerateQuanta(t *testing.T) {
 	d := NewDRR(30, [3]int{1, 1, 1}) // quanta far below frame size
 	d.Enqueue(classedPkt(t, 1, nf.ClassLatencySensitive))
 	d.Enqueue(classedPkt(t, 2, nf.ClassBulk))
-	count := 0
-	d.Scan(func(*packet.Packet) bool { count++; return true })
-	if count != 2 {
-		t.Fatalf("scan visited %d", count)
+	if seen := scanIDs(d); len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
+		t.Fatalf("scan order: %v", seen)
 	}
 	// Degenerate quanta must still make progress (fallback path) —
 	// deficit accumulation would need hundreds of rounds otherwise.

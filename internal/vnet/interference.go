@@ -19,6 +19,9 @@ type Interference struct {
 	sim *sim.Simulator
 	rng *xrand.Rand
 	cfg InterferenceConfig
+	// toggleFn is i.toggle bound once: a method value built at every
+	// scheduleToggle would allocate per episode edge.
+	toggleFn func()
 
 	active      bool
 	stopped     bool
@@ -60,6 +63,7 @@ func NewInterference(s *sim.Simulator, rng *xrand.Rand, cfg InterferenceConfig) 
 		return nil
 	}
 	i := &Interference{sim: s, rng: rng, cfg: cfg, active: cfg.StartActive}
+	i.toggleFn = i.toggle
 	if i.active {
 		i.activeSince = s.Now()
 		i.episodes++
@@ -79,7 +83,7 @@ func (i *Interference) scheduleToggle() {
 	if d < 1 {
 		d = 1
 	}
-	i.sim.Schedule(d, i.toggle)
+	i.sim.Schedule(d, i.toggleFn)
 }
 
 // Stop freezes the process in its current state; no further toggles fire.

@@ -44,6 +44,9 @@ type LaneConfig struct {
 	// usually a stochastic *Interference, or a ScriptedSlowdown in
 	// timeline experiments.
 	Interference Slowdown
+	// Packets, if non-nil, takes back the copies the lane discards without
+	// telling anyone: cancelled duplicates skipped at the head of the queue.
+	Packets *packet.Pool
 	// StageHook, if non-nil, observes every chain element's result as the
 	// lane serves a packet (see nf.StageHook). Virtual-time only: hooks
 	// read r.Cost, never a clock, so an attached hook changes no run
@@ -110,15 +113,20 @@ type Lane struct {
 	rng  *xrand.Rand
 	done DoneFunc
 
-	queue   Qdisc
-	serving *packet.Packet
+	queue Qdisc
+	// serving is the packet on the core and verdict what its chain decided;
+	// finish reads both, so the completion event needs no closure of its
+	// own — finishFn is bound once, here, for the lane's lifetime.
+	serving  *packet.Packet
+	verdict  packet.Verdict
+	finishFn func()
 
 	// Failure injection state. parked holds a packet whose service was cut
 	// short by a blackhole (the hung core still "owns" it); finishEv is the
 	// pending completion event, cancelled on failure.
 	failMode FailMode
 	parked   *packet.Packet
-	finishEv *sim.Event
+	finishEv sim.Event
 
 	// Counters.
 	enqueued   uint64
@@ -145,7 +153,9 @@ func NewLane(id int, s *sim.Simulator, cfg LaneConfig, rng *xrand.Rand, done Don
 	if cfg.Qdisc == nil {
 		cfg.Qdisc = NewFIFO(cfg.QueueCap)
 	}
-	return &Lane{id: id, sim: s, cfg: cfg, rng: rng, done: done, queue: cfg.Qdisc}
+	l := &Lane{id: id, sim: s, cfg: cfg, rng: rng, done: done, queue: cfg.Qdisc}
+	l.finishFn = l.finish
+	return l
 }
 
 // ID returns the lane's identifier.
@@ -197,28 +207,40 @@ func (l *Lane) Enqueue(p *packet.Packet) bool {
 
 // startNext begins service on the next packet, skipping cancelled ones.
 func (l *Lane) startNext() {
-	now := l.sim.Now()
 	for {
 		p := l.queue.Dequeue()
 		if p == nil {
 			return
 		}
 		if p.Cancelled {
-			// A duplicate whose twin already won: discard without cost.
-			l.cancelSkip++
-			p.Dropped = packet.DropCancelled
+			l.discardCancelled(p)
 			continue
 		}
-		l.serving = p
-		p.ServiceAt = now
-
-		result := l.cfg.Chain.ProcessHooked(now, p, l.cfg.StageHook)
-		svc := l.serviceTime(result.Cost)
-		l.busyUntil = now + svc
-		l.busyTotal += svc
-		l.finishEv = l.sim.Schedule(svc, func() { l.finish(p, result.Verdict) })
+		l.serve(p)
 		return
 	}
+}
+
+// serve puts p on the core: run the chain now, complete after its cost.
+func (l *Lane) serve(p *packet.Packet) {
+	now := l.sim.Now()
+	l.serving = p
+	p.ServiceAt = now
+	result := l.cfg.Chain.ProcessHooked(now, p, l.cfg.StageHook)
+	l.verdict = result.Verdict
+	svc := l.serviceTime(result.Cost)
+	l.busyUntil = now + svc
+	l.busyTotal += svc
+	l.finishEv = l.sim.Schedule(svc, l.finishFn)
+}
+
+// discardCancelled drops a dequeued duplicate whose twin already won, at no
+// service cost. Its accounting happened at cancel time and nobody is told
+// again, so this is the copy's terminal point: it goes back to the pool.
+func (l *Lane) discardCancelled(p *packet.Packet) {
+	l.cancelSkip++
+	p.Dropped = packet.DropCancelled
+	l.cfg.Packets.Put(p)
 }
 
 // Fail puts the lane into the given failure mode.
@@ -239,10 +261,7 @@ func (l *Lane) Fail(mode FailMode, drop func(p *packet.Packet)) {
 		return
 	}
 	l.failMode = mode
-	if l.finishEv != nil {
-		l.finishEv.Cancel()
-		l.finishEv = nil
-	}
+	l.finishEv.Cancel()
 	if l.serving != nil {
 		l.parked, l.serving = l.serving, nil
 		l.busyUntil = l.sim.Now()
@@ -274,8 +293,7 @@ func (l *Lane) DrainFailed(drop func(p *packet.Packet)) {
 			return
 		}
 		if p.Cancelled {
-			l.cancelSkip++
-			p.Dropped = packet.DropCancelled
+			l.discardCancelled(p)
 			continue
 		}
 		emit(p)
@@ -292,14 +310,7 @@ func (l *Lane) Recover() {
 	l.failMode = LaneHealthy
 	if p := l.parked; p != nil {
 		l.parked = nil
-		now := l.sim.Now()
-		l.serving = p
-		p.ServiceAt = now
-		result := l.cfg.Chain.ProcessHooked(now, p, l.cfg.StageHook)
-		svc := l.serviceTime(result.Cost)
-		l.busyUntil = now + svc
-		l.busyTotal += svc
-		l.finishEv = l.sim.Schedule(svc, func() { l.finish(p, result.Verdict) })
+		l.serve(p)
 		return
 	}
 	if l.serving == nil {
@@ -328,14 +339,16 @@ func (l *Lane) serviceTime(cost sim.Duration) sim.Duration {
 	return sim.Duration(math.Round(t))
 }
 
-func (l *Lane) finish(p *packet.Packet, verdict packet.Verdict) {
-	now := l.sim.Now()
-	p.Done = now
+// finish completes service of the packet on the core. The done callback
+// takes the packet over (the engine may recycle it before returning), so
+// the lane lets go of it first.
+func (l *Lane) finish() {
+	p := l.serving
+	p.Done = l.sim.Now()
 	l.serving = nil
-	l.finishEv = nil
 	l.served++
 	if l.done != nil {
-		l.done(p, verdict)
+		l.done(p, l.verdict)
 	}
 	l.startNext()
 }
@@ -346,16 +359,16 @@ func (l *Lane) finish(p *packet.Packet, verdict packet.Verdict) {
 // like a real run-to-completion worker. Returns whether a waiting packet
 // was found.
 func (l *Lane) CancelQueued(id uint64) bool {
-	found := false
-	l.queue.Scan(func(p *packet.Packet) bool {
-		if p.ID == id && !p.Cancelled {
-			p.Cancelled = true
-			found = true
+	for i := 0; ; i++ {
+		p := l.queue.Peek(i)
+		if p == nil {
 			return false
 		}
-		return true
-	})
-	return found
+		if p.ID == id && !p.Cancelled {
+			p.Cancelled = true
+			return true
+		}
+	}
 }
 
 // EstWait estimates the queueing delay a new arrival would see: the

@@ -21,15 +21,19 @@ type Qdisc interface {
 	Len() int
 	// Bytes returns the queued byte backlog.
 	Bytes() int
-	// Scan visits queued packets until fn returns false. Used for
-	// cancellation marking.
-	Scan(fn func(p *packet.Packet) bool)
+	// Peek returns the i-th queued packet in scan order (0 = first), or
+	// nil when i >= Len. Scan order is fixed per discipline — head to tail,
+	// band by band — because cancellation marks the first match it finds.
+	Peek(i int) *packet.Packet
 }
 
-// FIFO is the default drop-tail discipline.
+// FIFO is the default drop-tail discipline: a fixed ring of capacity
+// slots, so a steady enqueue/dequeue stream never touches the allocator
+// and a dequeued packet is unreachable from the queue at once.
 type FIFO struct {
-	cap   int
-	queue []*packet.Packet
+	ring  []*packet.Packet
+	head  int // index of the oldest packet
+	n     int // queued packets
 	bytes int
 }
 
@@ -38,43 +42,66 @@ func NewFIFO(capacity int) *FIFO {
 	if capacity <= 0 {
 		panic("vnet: NewFIFO with non-positive capacity")
 	}
-	return &FIFO{cap: capacity}
+	return &FIFO{ring: make([]*packet.Packet, capacity)}
 }
 
 // Enqueue implements Qdisc.
 func (f *FIFO) Enqueue(p *packet.Packet) bool {
-	if len(f.queue) >= f.cap {
+	if f.n == len(f.ring) {
 		return false
 	}
-	f.queue = append(f.queue, p)
+	f.ring[f.slot(f.n)] = p
+	f.n++
 	f.bytes += p.Size()
 	return true
 }
 
 // Dequeue implements Qdisc.
 func (f *FIFO) Dequeue() *packet.Packet {
-	if len(f.queue) == 0 {
+	if f.n == 0 {
 		return nil
 	}
-	p := f.queue[0]
-	f.queue = f.queue[1:]
+	p := f.ring[f.head]
+	f.ring[f.head] = nil
+	f.head = f.slot(1)
+	f.n--
 	f.bytes -= p.Size()
 	return p
 }
 
+// slot maps an offset from the head to a ring index.
+func (f *FIFO) slot(i int) int {
+	i += f.head
+	if i >= len(f.ring) {
+		i -= len(f.ring)
+	}
+	return i
+}
+
 // Len implements Qdisc.
-func (f *FIFO) Len() int { return len(f.queue) }
+func (f *FIFO) Len() int { return f.n }
 
 // Bytes implements Qdisc.
 func (f *FIFO) Bytes() int { return f.bytes }
 
-// Scan implements Qdisc.
-func (f *FIFO) Scan(fn func(*packet.Packet) bool) {
-	for _, p := range f.queue {
-		if !fn(p) {
-			return
-		}
+// Peek implements Qdisc.
+func (f *FIFO) Peek(i int) *packet.Packet {
+	if i >= f.n {
+		return nil
 	}
+	return f.ring[f.slot(i)]
+}
+
+// peekBands is Peek over a band array: band 0 head to tail, then band 1,
+// then band 2.
+func peekBands(bands *[3]*FIFO, i int) *packet.Packet {
+	for _, b := range bands {
+		if i < b.n {
+			return b.Peek(i)
+		}
+		i -= b.n
+	}
+	return nil
 }
 
 // classOf maps a packet to a band via the DSCP bits the classifier stamps
@@ -138,22 +165,8 @@ func (sp *StrictPriority) Bytes() int {
 	return sp.bands[0].Bytes() + sp.bands[1].Bytes() + sp.bands[2].Bytes()
 }
 
-// Scan implements Qdisc.
-func (sp *StrictPriority) Scan(fn func(*packet.Packet) bool) {
-	stop := false
-	for _, b := range sp.bands {
-		if stop {
-			return
-		}
-		b.Scan(func(p *packet.Packet) bool {
-			if !fn(p) {
-				stop = true
-				return false
-			}
-			return true
-		})
-	}
-}
+// Peek implements Qdisc.
+func (sp *StrictPriority) Peek(i int) *packet.Packet { return peekBands(&sp.bands, i) }
 
 // DRR is a three-band deficit round robin: bands share the core in
 // proportion to their quanta (bytes per round) instead of strictly, so
@@ -213,7 +226,7 @@ func (d *DRR) Dequeue() *packet.Packet {
 			d.deficit[d.active] += d.quanta[d.active]
 			d.credited = true
 		}
-		head := band.queue[0]
+		head := band.Peek(0)
 		if d.deficit[d.active] >= head.Size() {
 			d.deficit[d.active] -= head.Size()
 			return band.Dequeue()
@@ -244,19 +257,5 @@ func (d *DRR) Bytes() int {
 	return d.bands[0].Bytes() + d.bands[1].Bytes() + d.bands[2].Bytes()
 }
 
-// Scan implements Qdisc.
-func (d *DRR) Scan(fn func(*packet.Packet) bool) {
-	stop := false
-	for i := range d.bands {
-		if stop {
-			return
-		}
-		d.bands[i].Scan(func(p *packet.Packet) bool {
-			if !fn(p) {
-				stop = true
-				return false
-			}
-			return true
-		})
-	}
-}
+// Peek implements Qdisc.
+func (d *DRR) Peek(i int) *packet.Packet { return peekBands(&d.bands, i) }

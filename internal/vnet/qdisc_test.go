@@ -59,18 +59,62 @@ func TestFIFOOrderAndBounds(t *testing.T) {
 	}
 }
 
-func TestFIFOScanStopsEarly(t *testing.T) {
-	f := NewFIFO(8)
-	for i := uint64(1); i <= 4; i++ {
-		f.Enqueue(classedPkt(t, i, nf.ClassDefault))
+// scanIDs walks a discipline in Peek order, as Lane.CancelQueued does.
+func scanIDs(q Qdisc) []uint64 {
+	var ids []uint64
+	for i := 0; q.Peek(i) != nil; i++ {
+		ids = append(ids, q.Peek(i).ID)
 	}
-	visited := 0
-	f.Scan(func(p *packet.Packet) bool {
-		visited++
-		return p.ID != 2
-	})
-	if visited != 2 {
-		t.Fatalf("scan visited %d, want 2", visited)
+	return ids
+}
+
+// The FIFO is a fixed ring: it must keep head-to-tail order and exact
+// capacity across any number of wrap-arounds, drop its reference to a
+// dequeued packet at once, and never allocate in steady state.
+func TestFIFORingWrapsInOrder(t *testing.T) {
+	const capacity = 5
+	f := NewFIFO(capacity)
+	next, want := uint64(1), uint64(1)
+	for round := 0; round < 40; round++ {
+		for f.Enqueue(classedPkt(t, next, nf.ClassDefault)) {
+			next++
+		}
+		if f.Len() != capacity {
+			t.Fatalf("round %d: full ring holds %d, want %d", round, f.Len(), capacity)
+		}
+		ids := scanIDs(f)
+		for i, id := range ids {
+			if id != want+uint64(i) {
+				t.Fatalf("round %d: scan order %v, want ascending from %d", round, ids, want)
+			}
+		}
+		if f.Peek(capacity) != nil || f.Peek(capacity+3) != nil {
+			t.Fatal("Peek past the tail returned a packet")
+		}
+		for k := 0; k < 1+round%capacity; k++ { // a varying amount, so head lands on every slot
+			if p := f.Dequeue(); p.ID != want {
+				t.Fatalf("round %d: dequeued %d, want %d", round, p.ID, want)
+			}
+			want++
+		}
+	}
+	for f.Dequeue() != nil {
+	}
+	if f.Len() != 0 || f.Bytes() != 0 {
+		t.Fatalf("drained ring reports len %d bytes %d", f.Len(), f.Bytes())
+	}
+	for i, p := range f.ring {
+		if p != nil {
+			t.Fatalf("slot %d still references packet %d after drain", i, p.ID)
+		}
+	}
+
+	p := classedPkt(t, 99, nf.ClassDefault)
+	if avg := testing.AllocsPerRun(1000, func() {
+		f.Enqueue(p)
+		f.Dequeue()
+	}); avg != 0 {
+		t.Fatalf("steady enqueue/dequeue allocates %.1f times per pair", avg)
 	}
 }
 

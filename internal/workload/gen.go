@@ -34,6 +34,10 @@ type TrafficConfig struct {
 	BulkFraction float64
 	// Rng drives flow selection. Required.
 	Rng *xrand.Rand
+	// Packets is the free list packets are minted from: pass the consuming
+	// core.DataPlane's Packets() and structs and frame buffers are reused.
+	// Nil mints plain heap packets, for consumers that keep or discard them.
+	Packets *packet.Pool
 }
 
 // NewTraffic builds a generator and its flow pool.
@@ -78,7 +82,8 @@ func NewTraffic(cfg TrafficConfig) *Traffic {
 // minFramePayload keeps frames at least Ethernet-minimum sized.
 const frameHeaderBytes = packet.EthHeaderLen + packet.IPv4HeaderLen + packet.UDPHeaderLen
 
-// NextPacket builds the next packet (without scheduling it).
+// NextPacket builds the next packet (without scheduling it), writing the
+// frame straight into the buffer the pool hands out.
 func (t *Traffic) NextPacket() *packet.Packet {
 	key := t.pool[t.zipf.Next()]
 	size := t.cfg.Size.Next()
@@ -89,27 +94,30 @@ func (t *Traffic) NextPacket() *packet.Packet {
 	if payload > 9000 {
 		payload = 9000
 	}
-	frame := packet.BuildUDP(key, make([]byte, payload), packet.BuildOpts{})
+	p := t.cfg.Packets.Get(frameHeaderBytes + payload) // zeroed: the payload is all zeros
+	packet.PutUDP(p.Data, key, packet.BuildOpts{})
+	p.Flow, p.FlowID = key, key.Hash64()
 	t.emitted++
-	t.bytes += uint64(len(frame))
-	return &packet.Packet{Data: frame, Flow: key, FlowID: key.Hash64()}
+	t.bytes += uint64(len(p.Data))
+	return p
 }
 
 // Run schedules arrivals on s, calling emit for each packet, until horizon.
+// The two funcs below are built once per Run; no arrival allocates its own.
 func (t *Traffic) Run(s *sim.Simulator, emit func(*packet.Packet), horizon sim.Time) {
-	var schedule func()
-	schedule = func() {
+	var arrive func()
+	scheduleNext := func() {
 		gap := t.cfg.Arrival.Next()
-		next := s.Now() + gap
-		if next > horizon {
+		if s.Now()+gap > horizon {
 			return
 		}
-		s.Schedule(gap, func() {
-			emit(t.NextPacket())
-			schedule()
-		})
+		s.Schedule(gap, arrive)
 	}
-	schedule()
+	arrive = func() {
+		emit(t.NextPacket())
+		scheduleNext()
+	}
+	scheduleNext()
 }
 
 // Emitted returns packets and bytes generated so far.
@@ -126,17 +134,19 @@ func MeanServiceCost(chain *nf.Chain, size SizeDist, rng *xrand.Rand, samples in
 	if samples <= 0 {
 		samples = 200
 	}
+	pkts := new(packet.Pool)
 	probe := NewTraffic(TrafficConfig{
 		Arrival: CBR{Gap: 1},
 		Size:    size,
 		Flows:   32,
 		Rng:     rng,
+		Packets: pkts,
 	})
 	var total sim.Duration
 	for i := 0; i < samples; i++ {
 		p := probe.NextPacket()
-		r := chain.Process(0, p)
-		total += r.Cost
+		total += chain.Process(0, p).Cost
+		pkts.Put(p)
 	}
 	return total / sim.Duration(samples)
 }
