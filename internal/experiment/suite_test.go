@@ -1,9 +1,6 @@
 package experiment
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestRegistryComplete(t *testing.T) {
 	ids := IDs()
@@ -12,58 +9,6 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if ids[0] != "E1" || ids[len(ids)-1] != "E22" {
 		t.Fatalf("suite order wrong: %v", ids)
-	}
-}
-
-// TestSuiteSmokeAll runs every experiment in quick mode — with the
-// end-to-end invariant checker armed, so every run is also conservation-
-// and order-checked — and verifies the structural integrity of what it
-// emits. This is the suite's integration test; it is skipped under -short.
-func TestSuiteSmokeAll(t *testing.T) {
-	if testing.Short() {
-		t.Skip("suite smoke test skipped in -short mode")
-	}
-	SetVerify(true)
-	defer SetVerify(false)
-	for _, id := range IDs() {
-		id := id
-		t.Run(id, func(t *testing.T) {
-			res, err := Registry[id](SuiteOpts{Seed: 1, Quick: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.ID != id {
-				t.Fatalf("result ID %q", res.ID)
-			}
-			if len(res.Figures) == 0 && len(res.Tables) == 0 {
-				t.Fatal("experiment produced nothing")
-			}
-			for _, f := range res.Figures {
-				if len(f.Curves) == 0 {
-					t.Fatalf("figure %s has no curves", f.Name)
-				}
-				for _, c := range f.Curves {
-					if len(c.Points) == 0 {
-						t.Fatalf("curve %s of %s is empty", c.Label, f.Name)
-					}
-				}
-			}
-			for _, tab := range res.Tables {
-				if len(tab.Rows) == 0 {
-					t.Fatalf("table %s has no rows", tab.Name)
-				}
-				for _, row := range tab.Rows {
-					if len(row) != len(tab.Columns) {
-						t.Fatalf("table %s row width %d != %d cols", tab.Name, len(row), len(tab.Columns))
-					}
-				}
-			}
-			var b strings.Builder
-			res.Render(&b)
-			if !strings.Contains(b.String(), id+":") {
-				t.Fatal("render missing experiment header")
-			}
-		})
 	}
 }
 
