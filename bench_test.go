@@ -1,7 +1,7 @@
-// Benchmarks regenerating the evaluation suite: one benchmark per
-// experiment (table/figure) plus micro-benchmarks of the data plane's hot
-// paths. Experiment benchmarks run in quick mode per iteration and report
-// the headline metric via b.ReportMetric, so
+// Benchmarks regenerating the evaluation suite (BenchmarkSuite, one
+// sub-benchmark per experiment, each iteration a quick-mode run) plus
+// micro-benchmarks of the data plane's hot paths. BenchmarkPolicyP99
+// reports the headline p99 via b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //
@@ -22,40 +22,19 @@ import (
 	"mpdp/internal/xrand"
 )
 
-// benchExperiment runs a registered experiment once per iteration.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	fn, ok := experiment.Registry[id]
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := fn(experiment.SuiteOpts{Seed: uint64(i + 1), Quick: true}); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkSuite runs every registered experiment once per iteration in
+// quick mode, one sub-benchmark per ID (go test -bench 'Suite/E7$').
+func BenchmarkSuite(b *testing.B) {
+	for _, id := range experiment.IDs() {
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := experiment.Registry[id](experiment.SuiteOpts{Seed: uint64(i + 1), Quick: true}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkE1Motivation(b *testing.B)  { benchExperiment(b, "E1") }
-func BenchmarkE2LoadSweep(b *testing.B)   { benchExperiment(b, "E2") }
-func BenchmarkE3CDF(b *testing.B)         { benchExperiment(b, "E3") }
-func BenchmarkE4PathSweep(b *testing.B)   { benchExperiment(b, "E4") }
-func BenchmarkE5Burstiness(b *testing.B)  { benchExperiment(b, "E5") }
-func BenchmarkE6Incast(b *testing.B)      { benchExperiment(b, "E6") }
-func BenchmarkE7Overhead(b *testing.B)    { benchExperiment(b, "E7") }
-func BenchmarkE8Reorder(b *testing.B)     { benchExperiment(b, "E8") }
-func BenchmarkE9ChainLen(b *testing.B)    { benchExperiment(b, "E9") }
-func BenchmarkE10Breakdown(b *testing.B)  { benchExperiment(b, "E10") }
-func BenchmarkE11Timeline(b *testing.B)   { benchExperiment(b, "E11") }
-func BenchmarkE12Ablation(b *testing.B)   { benchExperiment(b, "E12") }
-func BenchmarkE13FlowFCT(b *testing.B)    { benchExperiment(b, "E13") }
-func BenchmarkE14QueueCap(b *testing.B)   { benchExperiment(b, "E14") }
-func BenchmarkE15ClassIso(b *testing.B)   { benchExperiment(b, "E15") }
-func BenchmarkE16Compose(b *testing.B)    { benchExperiment(b, "E16") }
-func BenchmarkE17HashAttack(b *testing.B) { benchExperiment(b, "E17") }
-func BenchmarkE18ClosedLoop(b *testing.B) { benchExperiment(b, "E18") }
-func BenchmarkE19Hetero(b *testing.B)     { benchExperiment(b, "E19") }
-func BenchmarkE20FaultRecov(b *testing.B) { benchExperiment(b, "E20") }
 
 // BenchmarkPolicyP99 runs one standard configuration per policy and reports
 // the measured p99 (µs) as a custom metric — the E2/E3 numbers, one row per

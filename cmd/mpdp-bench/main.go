@@ -43,7 +43,7 @@ import (
 
 func main() {
 	var (
-		exp    = flag.String("exp", "all", "experiment ID (E1..E20) or 'all'")
+		exp    = flag.String("exp", "all", "experiment ID (E1..E22) or 'all'")
 		seed   = flag.Uint64("seed", 1, "base random seed")
 		seeds  = flag.Int("seeds", 2, "independent repetitions per data point")
 		quick  = flag.Bool("quick", false, "shrink horizons for a fast smoke run")

@@ -16,7 +16,7 @@ import (
 	"mpdp/internal/sim"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/outcomes.golden from the current engine")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden file of each golden test that runs (outcomes.golden, suite_quick.golden) from the current code")
 
 // obsHash streams every flight-recorder event through the OBS1 codec into
 // a hash, so the whole event order — not just the end-of-run counters — is

@@ -1,7 +1,8 @@
-// Package experiment is MPDP's evaluation harness: a registry of named
-// experiments (E1–E12), each of which configures workload + data plane,
-// runs them in virtual time, and emits the table or figure it reproduces
-// as aligned ASCII and as CSV.
+// Package experiment is MPDP's evaluation harness: one ordered table of
+// named experiments (E1–E22, suite.go), each a base configuration, a sweep
+// and the measures read off every run, and one runner (grid.go) that runs
+// them in virtual time and emits the table or figure each reproduces as
+// aligned ASCII and as CSV.
 //
 // See DESIGN.md §4 for the experiment index and the source-text mismatch
 // notice explaining why the suite is reconstructed rather than copied from
@@ -88,11 +89,18 @@ func (t *Table) Render(w io.Writer) error {
 
 func (t *Table) renderTo(b *strings.Builder) {
 	fmt.Fprintf(b, "-- %s: %s --\n", t.Name, t.Title)
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
+	writeAligned(b, t.Columns, t.Rows, true)
+}
+
+// writeAligned writes head and rows as left-aligned columns two spaces
+// apart, each as wide as its widest cell, with trailing blanks trimmed;
+// rule adds a dashed line under the head.
+func writeAligned(b *strings.Builder, head []string, rows [][]string, rule bool) {
+	widths := make([]int, len(head))
+	for i, c := range head {
 		widths[i] = len(c)
 	}
-	for _, row := range t.Rows {
+	for _, row := range rows {
 		for i, cell := range row {
 			if i < len(widths) && len(cell) > widths[i] {
 				widths[i] = len(cell)
@@ -105,26 +113,22 @@ func (t *Table) renderTo(b *strings.Builder) {
 			if i > 0 {
 				line.WriteString("  ")
 			}
-			line.WriteString(pad(cell, widths[i]))
+			line.WriteString(cell)
+			line.WriteString(strings.Repeat(" ", max(widths[i]-len(cell), 0)))
 		}
 		fmt.Fprintln(b, strings.TrimRight(line.String(), " "))
 	}
-	printRow(t.Columns)
-	sep := make([]string, len(t.Columns))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
+	printRow(head)
+	if rule {
+		sep := make([]string, len(head))
+		for i := range sep {
+			sep[i] = strings.Repeat("-", widths[i])
+		}
+		printRow(sep)
 	}
-	printRow(sep)
-	for _, row := range t.Rows {
+	for _, row := range rows {
 		printRow(row)
 	}
-}
-
-func pad(s string, n int) string {
-	if len(s) >= n {
-		return s
-	}
-	return s + strings.Repeat(" ", n-len(s))
 }
 
 // Render writes the figure as a column-per-curve data block: one x column
@@ -156,7 +160,7 @@ func (f *Figure) renderTo(w *strings.Builder) {
 	for _, c := range f.Curves {
 		cols = append(cols, c.Label)
 	}
-	tab := Table{Name: f.Name, Title: "data", Columns: cols}
+	var rows [][]string
 	for _, x := range xs {
 		row := []string{trimFloat(x)}
 		for _, c := range f.Curves {
@@ -169,34 +173,9 @@ func (f *Figure) renderTo(w *strings.Builder) {
 			}
 			row = append(row, cell)
 		}
-		tab.Rows = append(tab.Rows, row)
+		rows = append(rows, row)
 	}
-	// Render just the data block (skip the table header line).
-	widths := make([]int, len(tab.Columns))
-	for i, c := range tab.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range tab.Rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	line := func(cells []string) {
-		var lb strings.Builder
-		for i, cell := range cells {
-			if i > 0 {
-				lb.WriteString("  ")
-			}
-			lb.WriteString(pad(cell, widths[i]))
-		}
-		fmt.Fprintln(w, strings.TrimRight(lb.String(), " "))
-	}
-	line(tab.Columns)
-	for _, row := range tab.Rows {
-		line(row)
-	}
+	writeAligned(w, cols, rows, false)
 }
 
 // trimFloat formats a float compactly (no trailing zeros).

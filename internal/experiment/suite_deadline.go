@@ -12,20 +12,16 @@ import (
 	"mpdp/internal/transport"
 )
 
-func init() {
-	Registry["E22"] = E22DeadlineFrontier
-}
-
-// E22DeadlineFrontier — the cost/tail frontier of deadline-aware
-// duplication, in sim and on the loopback wire.
+// e22 is the cost/tail frontier of deadline-aware duplication, in sim and
+// on the loopback wire.
 //
 // The paper's tail win is bought with duplicated bytes; the existing menu
 // only offers the two extremes (never duplicate / always duplicate). E22
 // measures what the DeadlineAware policy buys between them: every
-// contender runs the same moderate-interference workload with a 2 ms
-// per-packet deadline stamped at ingress, so deadline-hit-rate and p99 are
-// comparable across the whole menu, and duplicated bytes put every policy
-// on the same cost axis.
+// contender runs the same moderate-interference workload with a per-packet
+// deadline stamped at ingress, so deadline-hit-rate and p99 are comparable
+// across the whole menu, and duplicated bytes put every policy on the same
+// cost axis.
 //
 //   - Table 1 / Figure 1: the policy menu — p99, deadline-hit rate, and
 //     duplication cost per policy. The acceptance shape: "deadline" lands
@@ -36,139 +32,91 @@ func init() {
 //     fraction (x) against p99 (y), with jsq and dup-all as the endpoints.
 //   - Table 2: the wire leg — the same policy shapes (rr, least-inflight,
 //     hedge, deadline) on real loopback UDP paths under injected delay
-//     faults, scored against the same 2 ms deadline.
-func E22DeadlineFrontier(opts SuiteOpts) (*Result, error) {
-	opts.fill()
-	dur := opts.duration(50 * sim.Millisecond)
-	// Sim latencies at util 0.7 sit in the tens-to-hundreds of microseconds,
-	// so the deadline that makes escalation a live decision is ~100 µs: loose
-	// enough that the best path usually suffices, tight enough that moderate
-	// interference puts a real fraction of packets at risk. (The wire leg
-	// keeps the 2 ms flag default — loopback RTTs against 3 ms delay faults
-	// live on a millisecond scale.)
-	const deadline = 100 * sim.Microsecond
-
-	res := &Result{
-		ID:    "E22",
-		Title: "deadline-aware duplication: cost/tail frontier, sim + loopback wire",
-		Notes: []string{
-			"expected shape: deadline matches (or beats) dup-all's p99 at a small fraction of its duplicated bytes; budget zero degrades to best-single-path",
+//     faults, scored against a 2 ms deadline.
+var e22 = &experiment{
+	id:    "E22",
+	title: "deadline-aware duplication: cost/tail frontier, sim + loopback wire",
+	notes: []string{
+		"expected shape: deadline matches (or beats) dup-all's p99 at a small fraction of its duplicated bytes; budget zero degrades to best-single-path",
+	},
+	grid: grid{
+		base: e22Base,
+		// A negative DupBudgetBps is budget zero.
+		series: append(policies("rr", "jsq", "dup-all", "mpdp", "deadline"),
+			point{label: "deadline-b0", set: func(c *cellConfig) { c.Policy, c.DupBudgetBps = "deadline", -1 }}),
+		measures: []measure{
+			p99,
+			{name: "hit_pct", format: "%.2f", of: func(r RunResult) float64 { return r.DeadlineHitRate * 100 }},
+			e22DupBytePct,
+			{name: "dup_denied", format: "%.0f", of: func(r RunResult) float64 {
+				if r.DeadlineSched == nil {
+					return 0
+				}
+				return float64(r.DeadlineSched.Denied)
+			}},
+			{name: "delivery_pct", format: "%.1f", of: deliveryPct},
 		},
-	}
+		table: &Table{
+			Name:    "E22",
+			Title:   fmt.Sprintf("policy menu @util 0.7, moderate interference, deadline %s", e22Base.Deadline),
+			Columns: []string{"policy"},
+		},
+		figures: []plot{{Figure: Figure{Name: "E22", Title: "duplication cost vs p99, policy menu", XLabel: "dup_byte_pct", YLabel: "p99_us"}}},
+	},
+	finish: e22Finish,
+}
 
-	// --- Sim leg: the policy menu on one common workload. ---------------
-	base := RunConfig{
-		NumPaths:     4,
-		Util:         0.7,
-		Interference: "moderate",
-		Deadline:     deadline,
-		Duration:     dur,
-	}
-	menu := []struct {
-		label  string
-		policy string
-		budget float64 // DupBudgetBps; 0 = policy default, <0 = budget zero
-	}{
-		{"rr", "rr", 0},
-		{"jsq", "jsq", 0},
-		{"dup-all", "dup-all", 0},
-		{"mpdp", "mpdp", 0},
-		{"deadline", "deadline", 0},
-		{"deadline-b0", "deadline", -1},
-	}
-	tab := Table{
-		Name:    "E22",
-		Title:   fmt.Sprintf("policy menu @util 0.7, moderate interference, deadline %s", deadline),
-		Columns: []string{"policy", "p99_us", "hit_pct", "dup_byte_pct", "dup_denied", "delivery_pct"},
-	}
-	fig := Figure{Name: "E22", Title: "duplication cost vs p99, policy menu", XLabel: "dup_byte_pct", YLabel: "p99_us"}
-	var hedgeP99, hedgeDupPct float64
-	var dlP99, dlDupPct float64
-	for _, m := range menu {
-		cfg := base
-		cfg.Seed = opts.Seed
-		cfg.Policy = m.policy
-		cfg.DupBudgetBps = m.budget
-		rs, err := RunSeeds(cfg, opts.Seeds)
-		if err != nil {
-			return nil, err
-		}
-		p99 := MeanP99Micros(rs)
-		var hitPct, dupPct, delivPct, denied float64
-		for _, r := range rs {
-			hitPct += r.DeadlineHitRate * 100
-			delivPct += r.DeliveryRate * 100
-			dupPct += 100 * float64(r.DupBytes) / float64(max64(r.OfferedBytes, 1))
-			if r.DeadlineSched != nil {
-				denied += float64(r.DeadlineSched.Denied)
+// e22Base is the sim leg's common workload. Sim latencies at util 0.7 sit
+// in the tens-to-hundreds of microseconds, so the deadline that makes
+// escalation a live decision is ~100 µs: loose enough that the best path
+// usually suffices, tight enough that moderate interference puts a real
+// fraction of packets at risk. (The wire leg keeps the 2 ms flag default —
+// loopback RTTs against 3 ms delay faults live on a millisecond scale.)
+var e22Base = RunConfig{
+	NumPaths:     4,
+	Util:         0.7,
+	Interference: "moderate",
+	Deadline:     100 * sim.Microsecond,
+	Duration:     50 * sim.Millisecond,
+}
+
+var e22DupBytePct = measure{name: "dup_byte_pct", format: "%.3f", of: func(r RunResult) float64 {
+	return 100 * float64(r.DupBytes) / float64(max(r.OfferedBytes, 1))
+}}
+
+// e22Frontier sweeps the deadline policy's budget rate (quick runs stop at
+// 1 MBps).
+var e22Frontier = grid{
+	base:     e22Base,
+	series:   policies("deadline"),
+	axis:     sweep(func(c *cellConfig, bps float64) { c.DupBudgetBps = bps }, -1, 64<<10, 256<<10, 1<<20, 4<<20, 16<<20),
+	measures: []measure{p99, e22DupBytePct},
+	figures:  []plot{{Figure: Figure{Name: "E22f", Title: "deadline policy: dup-budget sweep (cost/tail frontier)", XLabel: "dup_byte_pct", YLabel: "p99_us"}}},
+}
+
+// e22Finish adds the sim acceptance note, read off the menu figure (one
+// point per policy), then the frontier and the wire leg.
+func e22Finish(res *Result, opts SuiteOpts) error {
+	at := func(label string) Point {
+		for _, c := range res.Figures[0].Curves {
+			if c.Label == label {
+				return c.Points[0]
 			}
 		}
-		n := float64(len(rs))
-		hitPct, dupPct, delivPct, denied = hitPct/n, dupPct/n, delivPct/n, denied/n
-		switch m.label {
-		case "dup-all":
-			hedgeP99, hedgeDupPct = p99, dupPct
-		case "deadline":
-			dlP99, dlDupPct = p99, dupPct
-		}
-		tab.Rows = append(tab.Rows, []string{
-			m.label,
-			fmt.Sprintf("%.1f", p99),
-			fmt.Sprintf("%.2f", hitPct),
-			fmt.Sprintf("%.3f", dupPct),
-			fmt.Sprintf("%.0f", denied),
-			fmt.Sprintf("%.1f", delivPct),
-		})
-		fig.Curves = append(fig.Curves, Curve{
-			Label:  m.label,
-			Points: []Point{{X: dupPct, Y: p99}},
-		})
+		return Point{}
 	}
-	if hedgeP99 > 0 {
+	if hedge, dl := at("dup-all"), at("deadline"); hedge.Y > 0 {
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"acceptance: deadline p99 %.1fus vs dup-all %.1fus (%.2fx) at %.3f%% vs %.3f%% duplicated bytes",
-			dlP99, hedgeP99, dlP99/hedgeP99, dlDupPct, hedgeDupPct))
+			dl.Y, hedge.Y, dl.Y/hedge.Y, dl.X, hedge.X))
 	}
-	res.Tables = append(res.Tables, tab)
-	res.Figures = append(res.Figures, fig)
-
-	// --- Frontier: sweep the deadline policy's budget rate. -------------
-	frontier := Figure{Name: "E22f", Title: "deadline policy: dup-budget sweep (cost/tail frontier)", XLabel: "dup_byte_pct", YLabel: "p99_us"}
-	curve := Curve{Label: "deadline"}
-	budgets := []struct {
-		label string
-		bps   float64
-		burst float64
-	}{
-		{"0", -1, 0},
-		{"64KBps", 64 << 10, 0},
-		{"256KBps", 256 << 10, 0},
-		{"1MBps", 1 << 20, 0},
-		{"4MBps", 4 << 20, 0},
-		{"16MBps", 16 << 20, 0},
-	}
+	frontier := e22Frontier
 	if opts.Quick {
-		budgets = budgets[:4:4]
+		frontier.axis = frontier.axis[:4:4]
 	}
-	for _, b := range budgets {
-		cfg := base
-		cfg.Seed = opts.Seed
-		cfg.Policy = "deadline"
-		cfg.DupBudgetBps = b.bps
-		cfg.DupBudgetBurst = b.burst
-		rs, err := RunSeeds(cfg, opts.Seeds)
-		if err != nil {
-			return nil, err
-		}
-		var dupPct float64
-		for _, r := range rs {
-			dupPct += 100 * float64(r.DupBytes) / float64(max64(r.OfferedBytes, 1))
-		}
-		dupPct /= float64(len(rs))
-		curve.Points = append(curve.Points, Point{X: dupPct, Y: MeanP99Micros(rs)})
+	if err := frontier.runInto(res, opts); err != nil {
+		return err
 	}
-	frontier.Curves = append(frontier.Curves, curve)
-	res.Figures = append(res.Figures, frontier)
 
 	// --- Wire leg: the same shapes on loopback UDP under burst faults. --
 	// The fault model is the paper's: episodic last-mile degradation (a
@@ -196,7 +144,7 @@ func E22DeadlineFrontier(opts SuiteOpts) (*Result, error) {
 	} {
 		row, err := e22WireRun(sched, packets)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch sched {
 		case transport.SchedHedge:
@@ -218,10 +166,10 @@ func E22DeadlineFrontier(opts SuiteOpts) (*Result, error) {
 			"wire acceptance: deadline p99 %.3fms vs hedge %.3fms (%.2fx) at %d vs %d duplicated bytes (%.1f%%)",
 			wireDeadline.p99ms, wireHedge.p99ms, wireDeadline.p99ms/wireHedge.p99ms,
 			wireDeadline.dupBytes, wireHedge.dupBytes,
-			100*float64(wireDeadline.dupBytes)/float64(max64(wireHedge.dupBytes, 1))))
+			100*float64(wireDeadline.dupBytes)/float64(max(wireHedge.dupBytes, 1))))
 	}
 	res.Tables = append(res.Tables, wtab)
-	return res, nil
+	return nil
 }
 
 // e22WireRow is one loopback run condensed to the table's columns.
@@ -295,11 +243,4 @@ func e22WireRun(sched transport.SchedulerName, packets uint64) (e22WireRow, erro
 	row.p99ms = float64(lat.Percentile(0.99)) / 1e6
 	mu.Unlock()
 	return row, nil
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -13,86 +13,17 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 // TestHeadlineShapes verifies the qualitative claims the suite documents in
-// EXPERIMENTS.md, at quick scale: who wins, in which direction.
+// EXPERIMENTS.md, at quick scale: who wins, in which direction. It runs the
+// same battery as `mpdp-bench -check`.
 func TestHeadlineShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test skipped in -short mode")
 	}
-	// Shape 1 (E1): interference inflates the single-path tail far more
-	// than the median.
-	clean, err := Run(RunConfig{
-		Seed: 5, NumPaths: 1, Policy: "single", Util: 0.5,
-		Interference: "none", Duration: 10_000_000,
-	})
+	bad, err := CheckShapes(SuiteOpts{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noisy, err := Run(RunConfig{
-		Seed: 5, NumPaths: 1, Policy: "single", Util: 0.5,
-		Interference: "heavy", Duration: 10_000_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tailBlowup := float64(noisy.Latency.P99) / float64(clean.Latency.P99)
-	medianBlowup := float64(noisy.Latency.P50) / float64(clean.Latency.P50)
-	if tailBlowup < 5 {
-		t.Fatalf("E1 shape: tail blowup only %.1fx", tailBlowup)
-	}
-	if medianBlowup > tailBlowup/2 {
-		t.Fatalf("E1 shape: median blew up as much as the tail (%.1fx vs %.1fx)", medianBlowup, tailBlowup)
-	}
-
-	// Shape 2 (E2/E3): mpdp beats rss clearly at 70% load under
-	// interference (averaged over seeds).
-	rss, err := RunSeeds(RunConfig{
-		Seed: 5, Policy: "rss", Util: 0.7, Interference: "moderate", Duration: 10_000_000,
-	}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mpdp, err := RunSeeds(RunConfig{
-		Seed: 5, Policy: "mpdp", Util: 0.7, Interference: "moderate", Duration: 10_000_000,
-	}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if MeanP99Micros(mpdp) >= MeanP99Micros(rss)/1.5 {
-		t.Fatalf("E2 shape: mpdp p99 %.1f not well below rss %.1f",
-			MeanP99Micros(mpdp), MeanP99Micros(rss))
-	}
-
-	// Shape 3 (E7): dup-all duplicates ~100%, mpdp stays within budget.
-	dupAll, err := Run(RunConfig{
-		Seed: 5, Policy: "dup-all", Util: 0.8, Interference: "moderate", Duration: 8_000_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dupAll.DupOverhead < 0.99 {
-		t.Fatalf("dup-all overhead %.2f", dupAll.DupOverhead)
-	}
-	budgeted, err := Run(RunConfig{
-		Seed: 5, Policy: "mpdp", Util: 0.8, Interference: "moderate", Duration: 8_000_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if budgeted.DupOverhead > 0.26 {
-		t.Fatalf("mpdp dup overhead %.2f exceeds budget", budgeted.DupOverhead)
-	}
-
-	// Shape 4 (E8): rss never reorders; rr reorders massively.
-	rr, err := Run(RunConfig{
-		Seed: 5, Policy: "rr", Util: 0.7, Interference: "moderate", Duration: 8_000_000,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rss[0].Reorder.OOOFraction() != 0 {
-		t.Fatalf("rss OOO fraction %v != 0", rss[0].Reorder.OOOFraction())
-	}
-	if rr.Reorder.OOOFraction() < 0.1 {
-		t.Fatalf("rr OOO fraction %v suspiciously low", rr.Reorder.OOOFraction())
+	for _, b := range bad {
+		t.Error(b)
 	}
 }
