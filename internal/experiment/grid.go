@@ -264,11 +264,15 @@ func pooled(rs []RunResult) RunResult {
 
 // mergeSummaryInto replays a run's CDF into a merged histogram. The CDF is
 // bucket-resolution, which is exactly what the histogram stores anyway.
+// Each cumulative count is recovered by rounding frac*total to nearest:
+// the product often lands a hair below the integer (1/49*49 < 1), and
+// truncating it would move a sample one bucket up. Rounding is exact while
+// counts stay below 2^52.
 func mergeSummaryInto(h *stats.Hist, r RunResult) {
 	var prev uint64
 	total := r.Latency.Count
 	for _, p := range r.CDF {
-		cum := uint64(p.Frac * float64(total))
+		cum := uint64(math.Round(p.Frac * float64(total)))
 		for i := prev; i < cum; i++ {
 			h.Record(p.Value)
 		}
