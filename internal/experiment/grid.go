@@ -147,9 +147,10 @@ func (g *grid) runInto(res *Result, opts SuiteOpts) error {
 		}
 	}
 
-	vals := make([][]float64, len(jobs)) // per job, one value per measure
+	var vals [][]float64 // hand-built cells: per job, one value per measure
 	var runs []RunResult
 	if g.cell != nil {
+		vals = make([][]float64, len(jobs))
 		err := each(len(jobs), func(i int) (err error) {
 			vals[i], err = g.cell(jobs[i], opts.Quick)
 			return err
@@ -172,19 +173,21 @@ func (g *grid) runInto(res *Result, opts SuiteOpts) error {
 	means := make([][]float64, len(jobs)/seeds)
 	one := make([]RunResult, len(means))
 	for k := range means {
-		rows := vals[k*seeds : (k+1)*seeds]
-		if runs != nil {
+		var rows [][]float64
+		if g.cell != nil {
+			rows = vals[k*seeds : (k+1)*seeds]
+		} else {
 			rs := runs[k*seeds : (k+1)*seeds]
 			if g.pool {
 				rs = []RunResult{pooled(rs)}
 			}
 			one[k] = rs[0]
-			rows = rows[:len(rs)]
-			for i, r := range rs {
-				rows[i] = make([]float64, len(g.measures))
+			for _, r := range rs {
+				row := make([]float64, len(g.measures))
 				for m, ms := range g.measures {
-					rows[i][m] = ms.of(r)
+					row[m] = ms.of(r)
 				}
+				rows = append(rows, row)
 			}
 		}
 		means[k] = make([]float64, len(g.measures))
@@ -193,9 +196,11 @@ func (g *grid) runInto(res *Result, opts SuiteOpts) error {
 			for _, row := range rows {
 				sum += row[m]
 			}
-			if means[k][m] = sum / float64(len(rows)); ms.count {
-				means[k][m] = math.Trunc(means[k][m])
+			mean := sum / float64(len(rows))
+			if ms.count {
+				mean = math.Trunc(mean)
 			}
+			means[k][m] = mean
 		}
 	}
 
