@@ -7,7 +7,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"mpdp/internal/fault"
@@ -135,14 +134,8 @@ func TestOutcomeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading golden (run `go test -run OutcomeGolden ./internal/experiment -update` at a known-good commit): %v", err)
 	}
-	gl, wl := strings.SplitAfter(got.String(), "\n"), strings.SplitAfter(string(want), "\n")
-	if len(gl) != len(wl) {
-		t.Fatalf("outcome moved: golden has %d lines, run produced %d", len(wl), len(gl))
-	}
-	for i := range gl {
-		if gl[i] != wl[i] {
-			t.Fatalf("outcome moved (first differing line %d)\n got: %swant: %s", i+1, gl[i], wl[i])
-		}
+	if got.String() != string(want) {
+		t.Fatalf("outcome moved, first difference at %s", firstDiff(got.String(), string(want)))
 	}
 }
 
