@@ -227,7 +227,7 @@ func (c *Client) ctrlLoop() {
 		default:
 		}
 		c.ctrl.SetReadDeadline(transport.Deadline(100 * time.Millisecond)) //lint:allow erroreat deadline set on a live socket cannot fail meaningfully
-		sz, _, err := c.ctrl.ReadFromUDP(buf)
+		sz, _, err := c.ctrl.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				continue

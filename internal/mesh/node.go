@@ -463,7 +463,7 @@ func (n *Node) ctrlLoop() {
 		default:
 		}
 		n.ctrl.SetReadDeadline(transport.Deadline(100 * time.Millisecond)) //lint:allow erroreat deadline set on a live socket cannot fail meaningfully
-		sz, _, err := n.ctrl.ReadFromUDP(buf)
+		sz, _, err := n.ctrl.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				continue

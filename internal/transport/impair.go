@@ -26,9 +26,10 @@ type Impairment struct {
 // error-mode semantics (seeded fractions of packets harmed while active)
 // at the link layer instead of inside a chain. Implementations must be
 // safe for use from the sender's Send goroutine and any delayed-write
-// timers.
+// timers. The frame is already encoded when Impair runs, so h is a copy:
+// an impairer decides the frame's fate, it cannot rewrite the frame.
 type Impairer interface {
-	Impair(path int, h *Header) Impairment
+	Impair(path int, h Header) Impairment
 }
 
 // ImpairConfig parameterizes RandomImpairer: per-frame probabilities, an
@@ -71,7 +72,7 @@ func NewRandomImpairer(cfg ImpairConfig) *RandomImpairer {
 }
 
 // Impair implements Impairer.
-func (im *RandomImpairer) Impair(path int, h *Header) Impairment {
+func (im *RandomImpairer) Impair(path int, h Header) Impairment {
 	if im.cfg.Path != -1 && path != im.cfg.Path {
 		return Impairment{}
 	}
@@ -142,7 +143,7 @@ func NewBurstImpairer(cfg BurstImpairConfig) *BurstImpairer {
 }
 
 // Impair implements Impairer.
-func (im *BurstImpairer) Impair(path int, h *Header) Impairment {
+func (im *BurstImpairer) Impair(path int, h Header) Impairment {
 	im.mu.Lock()
 	defer im.mu.Unlock()
 	pos := im.n % im.cfg.Period

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,10 +41,11 @@ type ReceiverConfig struct {
 	// Spans, when non-nil, records socket-read/reorder/deliver/e2e stages.
 	Spans *Spans
 	// Deliver receives packets in per-flow order on the reorder driver
-	// goroutine. The packet is owned by the callback.
+	// goroutine. The receiver recycles the packet, Data included, once the
+	// callback returns: a callback that keeps either must copy it.
 	Deliver func(p *packet.Packet)
 	// OnLost is invoked (driver goroutine) for stragglers that arrive
-	// after their sequence was timed out past.
+	// after their sequence was timed out past. Same ownership as Deliver.
 	OnLost func(p *packet.Packet)
 	// Verifier, when non-nil, is fed every in-order delivery.
 	Verifier *Verifier
@@ -62,11 +64,11 @@ type recvPath struct {
 	conn *net.UDPConn
 
 	mu        sync.Mutex
-	src       *net.UDPAddr // last data source: where acks go
-	wire      *dedupWindow // per-path wire dedup on PathSeq
-	high      uint64       // highest PathSeq seen
-	recv      uint64       // distinct frames received
-	lastSend  int64        // SendNanos of the newest data frame (RTT echo)
+	src       netip.AddrPort // last data source: where acks go (invalid until one arrives)
+	wire      *dedupWindow   // per-path wire dedup on PathSeq
+	high      uint64         // highest PathSeq seen
+	recv      uint64         // distinct frames received
+	lastSend  int64          // SendNanos of the newest data frame (RTT echo)
 	sinceAck  int
 	ackedRecv uint64 // recv as of the last ack sent
 
@@ -154,9 +156,9 @@ func (r *Receiver) Addrs() []string {
 }
 
 // SetTraceSampling retunes the attached wire recorder's sampling rate
-// (no-op returning 0 when untraced) — the receiver half of the
-// sentinel's capture ramp. Both ends must ramp together: the merge layer
-// only joins packets sampled at both endpoints.
+// (no-op returning 0 when untraced) — the receiver half of the sentinel's
+// capture ramp. Both ends must ramp together: the merge layer only joins
+// packets sampled at both endpoints.
 func (r *Receiver) SetTraceSampling(every int) int {
 	if r.cfg.Trace == nil {
 		return 0
@@ -183,8 +185,8 @@ func (r *Receiver) deliver(p *packet.Packet) {
 		v.NoteDelivered(p.FlowID, p.Seq)
 	}
 	r.delivered.Add(1)
-	// Capture identity before the callback: the packet belongs to the
-	// application once fn returns.
+	// Capture identity before the callback: the packet goes back to the
+	// readers once fn returns.
 	flowID, seq, pathID, pathSeq, done := p.FlowID, p.Seq, p.PathID, p.PathSeq, p.Done
 	if fn := r.cfg.Deliver; fn != nil {
 		t0 := NowNanos()
@@ -193,6 +195,7 @@ func (r *Receiver) deliver(p *packet.Packet) {
 			sp.Deliver.Record(NowNanos() - t0)
 		}
 	}
+	r.driver.free.put(p)
 	// The deliver event closes the timeline: Path/PathSeq name the
 	// admitted copy, A its arrival, B the pre-callback release time.
 	if tr := r.cfg.Trace; tr != nil && tr.Sampled(flowID, seq) {
@@ -211,15 +214,19 @@ func (r *Receiver) onLost(p *packet.Packet) {
 	if fn := r.cfg.OnLost; fn != nil {
 		fn(p)
 	}
+	r.driver.free.put(p)
 }
 
 // readLoop pulls datagrams off one path's socket until it is closed.
+// Nothing here allocates per frame: the source address is a value, the
+// header is decoded into a local, and the packet handed to the driver is a
+// recycled one (see rxPackets).
 func (r *Receiver) readLoop(p *recvPath) {
 	defer r.wg.Done()
 	buf := make([]byte, HeaderLen+MaxPayload)
 	for {
 		t0 := NowNanos()
-		n, src, err := p.conn.ReadFromUDP(buf)
+		n, src, err := p.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			return // socket closed
 		}
@@ -296,9 +303,11 @@ func (r *Receiver) readLoop(p *recvPath) {
 			continue // wire duplicate: already counted, never resubmitted
 		}
 
-		data := make([]byte, len(payload))
-		copy(data, payload)
-		r.driver.in <- &packet.Packet{
+		// buf is overwritten by the next read, so the payload moves into
+		// the packet's own buffer, which a recycled packet already has.
+		pk := r.driver.free.get()
+		data := append(pk.Data[:0], payload...)
+		*pk = packet.Packet{
 			FlowID:  h.FlowID,
 			Seq:     h.Seq,
 			Data:    data,
@@ -308,6 +317,7 @@ func (r *Receiver) readLoop(p *recvPath) {
 			Ingress: sim.Time(h.SendNanos),
 			Done:    sim.Time(now),
 		}
+		r.driver.in <- pk
 	}
 }
 
@@ -327,13 +337,13 @@ func (p *recvPath) ackHeaderLocked() Header {
 }
 
 // writeControl sends a header-only frame (ack or echo) back to src.
-func (r *Receiver) writeControl(p *recvPath, h Header, src *net.UDPAddr) {
+func (r *Receiver) writeControl(p *recvPath, h Header, src netip.AddrPort) {
 	var arr [HeaderLen]byte
 	frame, err := AppendFrame(arr[:0], &h, nil)
 	if err != nil {
 		return // cannot happen: header-only frames always encode
 	}
-	if _, err := p.conn.WriteToUDP(frame, src); err != nil {
+	if _, err := p.conn.WriteToUDPAddrPort(frame, src); err != nil {
 		return // receiver-side ack loss looks like wire loss; sender copes
 	}
 }
@@ -351,9 +361,9 @@ func (r *Receiver) ackSweep() {
 		case <-ticker.C:
 			for _, p := range r.paths {
 				p.mu.Lock()
-				pending := p.src != nil && (p.recv != p.ackedRecv || p.high > p.recv)
+				pending := p.src.IsValid() && (p.recv != p.ackedRecv || p.high > p.recv)
 				var ack Header
-				var src *net.UDPAddr
+				var src netip.AddrPort
 				if pending {
 					ack = p.ackHeaderLocked()
 					src = p.src

@@ -24,6 +24,7 @@ type reorderDriver struct {
 	rb      *core.Reorder
 	dedup   *dedup
 	in      chan *packet.Packet
+	free    rxPackets // spent packets on their way back to the readers
 	stats   chan chan driverStats
 	stopped chan struct{}
 	tick    time.Duration
@@ -36,6 +37,33 @@ type reorderDriver struct {
 	gapSkipped atomic.Uint64
 
 	final driverStats // valid after close()
+}
+
+// rxPackets carries spent packets from the driver back to the path
+// readers, so the receive path allocates a packet, and its payload buffer,
+// only while the number in flight is still growing. Readers take with get;
+// the driver gives back with put once the packet's fate is decided (dropped
+// as a hedged sibling, or delivered or declared lost and the application's
+// callback has returned). A channel, not a packet.Pool, because taker and
+// giver are different goroutines. An empty channel means a fresh packet and
+// a full one leaves the surplus to the collector, as does a copy that
+// core.Reorder itself discards as a duplicate.
+type rxPackets chan *packet.Packet
+
+func (c rxPackets) get() *packet.Packet {
+	select {
+	case p := <-c:
+		return p
+	default:
+		return new(packet.Packet)
+	}
+}
+
+func (c rxPackets) put(p *packet.Packet) {
+	select {
+	case c <- p:
+	default:
+	}
 }
 
 // driverStats is the driver-owned state a snapshot can safely expose.
@@ -71,6 +99,7 @@ func newReorderDriver(clock func() sim.Time, timeout time.Duration, dedupWindow 
 		rb:      rb,
 		dedup:   newDedup(dedupWindow),
 		in:      make(chan *packet.Packet, queue),
+		free:    make(rxPackets, queue),
 		stats:   make(chan chan driverStats),
 		stopped: make(chan struct{}),
 		tick:    tick,
@@ -105,6 +134,7 @@ func (d *reorderDriver) run() {
 						Path: int32(p.PathID), FlowID: p.FlowID, Seq: p.Seq,
 						PathSeq: p.PathSeq})
 				}
+				d.free.put(p)
 				continue
 			}
 			d.rb.Submit(p)

@@ -321,7 +321,7 @@ func (s *Sender) writeFrame(p *senderPath, h Header, payload []byte, sampled boo
 
 	writes := 1
 	if im := s.cfg.Impairer; im != nil {
-		v := im.Impair(int(h.PathID), &h)
+		v := im.Impair(int(h.PathID), h)
 		if v.Drop {
 			return nil // a silent wire loss: the receiver sees a path-seq gap
 		}
@@ -329,23 +329,7 @@ func (s *Sender) writeFrame(p *senderPath, h Header, payload []byte, sampled boo
 			writes = 2
 		}
 		if v.Delay > 0 {
-			// Delayed frames need their own copy: scratch is reused by the
-			// next Send before the timer fires.
-			own := make([]byte, len(buf))
-			copy(own, buf)
-			s.delayers.Add(1)
-			time.AfterFunc(v.Delay, func() { //lint:allow determinism impairer-injected wire delay
-				defer s.delayers.Done()
-				select {
-				case <-s.closed:
-					return
-				default:
-				}
-				for i := 0; i < writes; i++ {
-					s.write(p, own) //lint:allow erroreat write already fed the failure to health; a delayed frame has no caller to tell
-				}
-				s.traceTx(h, sampled)
-			})
+			s.writeLater(p, buf, writes, h, sampled, v.Delay)
 			return nil
 		}
 	}
@@ -359,6 +343,30 @@ func (s *Sender) writeFrame(p *senderPath, h Header, payload []byte, sampled boo
 		s.traceTx(h, sampled)
 	}
 	return werr
+}
+
+// writeLater performs an impairer-delayed write. The timer's closure is
+// built here rather than in writeFrame because a variable a closure
+// captures lives on the heap: captured there, writeFrame's header would be
+// allocated for every frame, delayed or not.
+func (s *Sender) writeLater(p *senderPath, frame []byte, writes int, h Header, sampled bool, delay time.Duration) {
+	// The frame needs its own copy: scratch is reused by the next Send
+	// before the timer fires.
+	own := make([]byte, len(frame))
+	copy(own, frame)
+	s.delayers.Add(1)
+	time.AfterFunc(delay, func() { //lint:allow determinism impairer-injected wire delay
+		defer s.delayers.Done()
+		select {
+		case <-s.closed:
+			return
+		default:
+		}
+		for i := 0; i < writes; i++ {
+			s.write(p, own) //lint:allow erroreat write already fed the failure to health; a delayed frame has no caller to tell
+		}
+		s.traceTx(h, sampled)
+	})
 }
 
 // traceTx emits the copy's tx event and records the sender_queue stage
